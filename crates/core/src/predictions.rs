@@ -235,9 +235,12 @@ pub fn compute_group_predictions_from_peers<R: RatingsRead + ?Sized>(
         .map(|(_, peers)| predictor.predict_many_with(&peers, &items, config.parallelism))
         .collect();
 
+    // One column buffer reused across items: no allocation per candidate.
+    let mut column: Vec<Option<Relevance>> = Vec::with_capacity(member_scores.len());
     let group_scores = (0..items.len())
         .map(|j| {
-            let column: Vec<Option<Relevance>> = member_scores.iter().map(|row| row[j]).collect();
+            column.clear();
+            column.extend(member_scores.iter().map(|row| row[j]));
             config.aggregation.aggregate(&column, config.missing)
         })
         .collect();

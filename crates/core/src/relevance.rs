@@ -13,11 +13,38 @@
 //! the latter can only happen when the caller admits non-positive
 //! similarities through a negative δ, in which case a weighted "average"
 //! loses its meaning as one.
+//!
+//! ## Summation order
+//!
+//! Float addition is not associative, so the order of the terms is part
+//! of the output. Every entry point sums each item's terms over its
+//! peer raters **in ascending user id**, starting from `0.0`. Two shapes
+//! reach that order:
+//!
+//! * **Rater-side** (one item: [`predict`](RelevancePredictor::predict),
+//!   [`predict_prepared`](RelevancePredictor::predict_prepared)): walk
+//!   the item's column `U(i)`, which ascends by user id, and probe a
+//!   peer lookup. Cost `|U(i)|` per item.
+//! * **Peer-side** (many items:
+//!   [`predict_many_with`](RelevancePredictor::predict_many_with)): walk
+//!   the peers in ascending id and scatter each peer's row into dense
+//!   per-item accumulators. Filtering `U(i)` to the peers visits the same
+//!   peers in the same order as walking the peers by ascending id, and
+//!   each accumulator starts at `0.0` and *adds* its first term, so each
+//!   item sees exactly the rater-side's `0.0 + t₁ + t₂ + …`. Cost
+//!   `Σ_{p ∈ P_u} |I(p)|` per member, whatever the candidate count.
+//!
+//! An earlier peer-side path disagreed with the rater-side in the last
+//! ulp because it walked the peers in *list* order (descending
+//! similarity), a different addition order. Sorting the peers by id is
+//! what makes the two shapes the same function; the property tests pin
+//! them against each other bit for bit.
 
 use fairrec_similarity::Peers;
 use fairrec_types::{
     ItemId, Parallelism, RatingMatrix, RatingsRead, Relevance, ScoredItem, TopK, UserId,
 };
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Candidate-set size below which
@@ -25,8 +52,8 @@ use std::collections::HashMap;
 /// knob and stays sequential — fan-out overhead dominates under this.
 pub const MIN_PARALLEL_ITEMS: usize = 2048;
 
-/// A peer list preprocessed for repeated Equation 1 evaluations: the
-/// peer → similarity lookup that `predict` / `predict_many` build
+/// A peer list preprocessed for repeated single-item Equation 1
+/// evaluations: the peer → similarity lookup that `predict` builds
 /// internally, made reusable across items (one allocation per peer
 /// list instead of one per prediction).
 #[derive(Debug, Clone, Default)]
@@ -43,13 +70,42 @@ impl PreparedPeers {
     }
 }
 
+/// Dense item-indexed Equation 1 accumulators for the peer-side
+/// scatter, one per thread and reused across calls, so a pass allocates
+/// nothing once the scratch has grown to the item space.
+#[derive(Debug, Default)]
+struct Scatter {
+    num: Vec<f64>,
+    den: Vec<f64>,
+}
+
+thread_local! {
+    static SCATTER: RefCell<Scatter> = RefCell::new(Scatter::default());
+}
+
+/// `peers` ascending by id with duplicate ids collapsed, the last entry
+/// winning — the same peer set the rater-side lookup map holds.
+fn by_ascending_id(peers: &Peers) -> Vec<(UserId, f64)> {
+    let mut sorted = peers.clone();
+    // Stable, so each run of one id keeps its list order.
+    sorted.sort_by_key(|&(peer, _)| peer);
+    sorted.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 = next.1;
+        }
+        same
+    });
+    sorted
+}
+
 /// Predicts Equation 1 scores against a rating relation.
 ///
 /// Generic over [`RatingsRead`], so the same summation serves the
-/// monolithic [`RatingMatrix`] and the sharded store (whose rater scans
-/// arrive through the owner-routed S-way merge — same visiting order,
-/// same bits). The default type parameter keeps the common
-/// `RelevancePredictor::new(&matrix)` call sites unchanged.
+/// monolithic [`RatingMatrix`] and the sharded store (whose rows are
+/// owner-local and whose columns arrive through the owner-routed S-way
+/// merge — same order, same bits). The default type parameter keeps the
+/// common `RelevancePredictor::new(&matrix)` call sites unchanged.
 #[derive(Debug, Clone, Copy)]
 pub struct RelevancePredictor<'a, R: RatingsRead + ?Sized = RatingMatrix> {
     matrix: &'a R,
@@ -72,43 +128,27 @@ impl<'a, R: RatingsRead + ?Sized> RelevancePredictor<'a, R> {
     /// [`PeerSelector`](fairrec_similarity::PeerSelector); the user itself
     /// is never in it.
     ///
-    /// The summation runs in the **canonical order**: over the item's
-    /// raters, in matrix order, probing the peer set. Every Equation 1
-    /// evaluation in the workspace — this method, the prepared-peers
-    /// [`predict_prepared`](Self::predict_prepared), and the (possibly
-    /// parallel) [`predict_many_with`](Self::predict_many_with) — sums in
-    /// this one order, so the same `(peers, item)` always produces the
-    /// same bits. An earlier revision picked peer-side vs rater-side
-    /// iteration by size; float addition is not associative, so the two
-    /// paths could disagree in the last ulp for the same input,
-    /// contradicting the determinism contract the property tests pin.
+    /// Sums rater-side: over the item's raters in ascending id, probing
+    /// the peer set — for one item the cheaper shape. That is the same
+    /// order [`predict_many_with`](Self::predict_many_with) reaches from
+    /// the peer side (see the module docs), so the same `(peers, item)`
+    /// always produces the same bits through every entry point.
     ///
     /// Builds the peer lookup afresh each call; loops evaluating many
     /// items for one peer list should build [`PreparedPeers`] once and
-    /// use [`predict_prepared`](Self::predict_prepared) instead.
+    /// use [`predict_prepared`](Self::predict_prepared), or score them
+    /// all at once with [`predict_many`](Self::predict_many).
     pub fn predict(&self, peers: &Peers, item: ItemId) -> Option<Relevance> {
         self.predict_prepared(&PreparedPeers::new(peers), item)
     }
 
     /// Like [`predict`](Self::predict) over a prebuilt peer lookup —
-    /// same canonical summation, same bits, without the per-call map
-    /// construction.
+    /// same summation, same bits, without the per-call map construction.
     pub fn predict_prepared(&self, peers: &PreparedPeers, item: ItemId) -> Option<Relevance> {
-        Self::score_rater_side(self.matrix, &peers.peer_sim, item)
-    }
-
-    /// The single canonical Equation 1 evaluation: rater-side summation
-    /// in ascending rater order (the [`RatingsRead`] visiting contract).
-    /// All prediction entry points funnel through this.
-    fn score_rater_side(
-        matrix: &R,
-        peer_sim: &HashMap<UserId, f64>,
-        item: ItemId,
-    ) -> Option<Relevance> {
         let mut num = 0.0;
         let mut den = 0.0;
-        matrix.for_each_rater(item, &mut |rater, r| {
-            if let Some(&sim) = peer_sim.get(&rater) {
+        self.matrix.for_each_rater(item, &mut |rater, r| {
+            if let Some(&sim) = peers.peer_sim.get(&rater) {
                 num += sim * r;
                 den += sim;
             }
@@ -122,31 +162,84 @@ impl<'a, R: RatingsRead + ?Sized> RelevancePredictor<'a, R> {
         self.predict_many_with(peers, candidates, Parallelism::Sequential)
     }
 
-    /// Like [`predict_many`](Self::predict_many), fanning the per-item
-    /// Equation 1 evaluations out across `parallelism`. Each item's score
-    /// is an independent rater-side scan, so results are bitwise
-    /// identical to the sequential path in input order.
+    /// Like [`predict_many`](Self::predict_many), fanning the work out
+    /// across `parallelism`. Scores peer-side: each peer's row is
+    /// scattered into dense per-item accumulators, so a call costs the
+    /// peers' ratings, not every rater of every candidate.
     ///
-    /// Small candidate sets (< [`MIN_PARALLEL_ITEMS`]) always run
-    /// sequentially: a per-item scan is sub-microsecond work and thread
-    /// fan-out would cost more than it saves.
+    /// The parallel mode splits the candidates into contiguous runs, one
+    /// per worker; each run scatters only the slice of every peer row
+    /// that falls in its own item range. An item's terms are still
+    /// added in ascending peer id, so every mode is bitwise identical to
+    /// the sequential path, in input order. Small candidate sets
+    /// (< [`MIN_PARALLEL_ITEMS`]) always run sequentially: fan-out would
+    /// cost more than it saves.
     pub fn predict_many_with(
         &self,
         peers: &Peers,
         candidates: &[ItemId],
         parallelism: Parallelism,
     ) -> Vec<Option<Relevance>> {
-        // One peer→sim map reused across items; each item is the same
-        // canonical rater-side summation `predict` performs.
-        let peer_sim: HashMap<UserId, f64> = peers.iter().copied().collect();
-        let score = |item: ItemId| Self::score_rater_side(self.matrix, &peer_sim, item);
+        let peers = by_ascending_id(peers);
+        let score = |run: &[ItemId]| {
+            SCATTER.with(|scratch| self.scatter(&peers, run, &mut scratch.borrow_mut()))
+        };
         if candidates.len() < MIN_PARALLEL_ITEMS || !parallelism.is_parallel() {
-            // The common serving path: iterate the borrowed slice in
-            // place, no per-request candidate copy.
-            candidates.iter().copied().map(score).collect()
-        } else {
-            parallelism.map(candidates.to_vec(), score)
+            return score(candidates);
         }
+        let run = candidates.len().div_ceil(parallelism.num_workers());
+        parallelism
+            .map(candidates.chunks(run).collect(), score)
+            .concat()
+    }
+
+    /// The peer-side Equation 1 over `candidates`, given peers ascending
+    /// by distinct id: every peer row, cut to the candidates' item range,
+    /// accumulated into `scratch`, then read out in candidate order.
+    fn scatter(
+        &self,
+        peers: &[(UserId, f64)],
+        candidates: &[ItemId],
+        scratch: &mut Scatter,
+    ) -> Vec<Option<Relevance>> {
+        let n_items = self.matrix.num_items();
+        let in_space = candidates.iter().copied().filter(|i| i.raw() < n_items);
+        let (Some(lo), Some(hi)) = (in_space.clone().min(), in_space.max()) else {
+            return vec![None; candidates.len()];
+        };
+        let Scatter { num, den } = scratch;
+        if num.len() < n_items as usize {
+            num.resize(n_items as usize, 0.0);
+            den.resize(n_items as usize, 0.0);
+        }
+        // Every slot in range starts at 0.0 and *adds* its first term,
+        // exactly as the rater-side sum does (0.0 + -0.0 is 0.0). The
+        // range clear is a branch-free fill no longer than the readout
+        // below; per-slot epoch marks (the `SimScratch` pattern) avoid it
+        // but test a mark on every update, which measured about twice as
+        // slow on the scatter.
+        num[lo.index()..=hi.index()].fill(0.0);
+        den[lo.index()..=hi.index()].fill(0.0);
+        for &(peer, sim) in peers {
+            let (items, scores) = self.matrix.ratings_row(peer);
+            let from = items.partition_point(|&i| i < lo);
+            for (&item, &r) in items[from..].iter().zip(&scores[from..]) {
+                if item > hi {
+                    break;
+                }
+                num[item.index()] += sim * r;
+                den[item.index()] += sim;
+            }
+        }
+        // An untouched slot reads den 0.0, hence `None`, as the
+        // rater-side sum over no peers does.
+        candidates
+            .iter()
+            .map(|&item| {
+                let d = *den.get(item.index()).filter(|_| item.raw() < n_items)?;
+                (d > 0.0).then(|| num[item.index()] / d)
+            })
+            .collect()
     }
 
     /// The top-k list `A_u` (§III-A) over `candidates`.
@@ -232,9 +325,9 @@ mod tests {
 
     #[test]
     fn single_and_batch_paths_agree_bitwise() {
-        // Small peer list vs. large rater set and vice versa: both used
-        // to take different summation orders; now every shape must be
-        // bit-for-bit identical across `predict` and `predict_many`.
+        // Small peer list vs. large rater set and vice versa: the
+        // rater-side `predict` and the peer-side `predict_many` must be
+        // bit-for-bit identical for every shape.
         let mut rows = vec![(0u32, 0u32, 3.0)];
         for u in 1..40 {
             rows.push((u, 0, f64::from(u % 5) + 1.0));
@@ -248,6 +341,21 @@ mod tests {
             let many = pred.predict_many(p, &[ItemId::new(0)])[0].unwrap();
             assert_eq!(one.to_bits(), many.to_bits());
         }
+    }
+
+    #[test]
+    fn duplicate_peers_keep_the_last_similarity() {
+        let m = matrix(&[(1, 0, 5.0), (2, 0, 1.0)]);
+        // u1 listed twice: the later 0.9 wins, as in the rater-side
+        // lookup map.
+        let p = peers(&[(1, 0.1), (2, 0.5), (1, 0.9)]);
+        let pred = RelevancePredictor::new(&m);
+        let expected = (0.5 * 1.0 + 0.9 * 5.0) / (0.5 + 0.9);
+        assert_eq!(
+            pred.predict_many(&p, &[ItemId::new(0)]),
+            vec![Some(expected)]
+        );
+        assert_eq!(pred.predict(&p, ItemId::new(0)), Some(expected));
     }
 
     #[test]
@@ -283,8 +391,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use fairrec_types::RatingMatrixBuilder;
+    use fairrec_types::{RatingMatrixBuilder, ShardSpec, ShardedRatingMatrix};
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use std::collections::BTreeMap;
 
     proptest! {
@@ -314,6 +423,85 @@ mod proptests {
             let one = pred.predict(&peers, item);
             let many = pred.predict_many(&peers, &[item])[0];
             prop_assert_eq!(one.map(f64::to_bits), many.map(f64::to_bits));
+        }
+    }
+
+    /// Scores `candidates` item by item with the rater-side summation
+    /// (the oracle) and checks every `predict_many_with` mode against it
+    /// bit for bit.
+    fn agrees_with_rater_side<R: RatingsRead + ?Sized>(
+        store: &R,
+        peers: &Peers,
+        candidates: &[ItemId],
+        label: &str,
+    ) -> Result<(), TestCaseError> {
+        let pred = RelevancePredictor::new(store);
+        let prepared = PreparedPeers::new(peers);
+        let oracle: Vec<Option<u64>> = candidates
+            .iter()
+            .map(|&i| pred.predict_prepared(&prepared, i).map(f64::to_bits))
+            .collect();
+        for mode in [
+            Parallelism::Sequential,
+            Parallelism::Rayon,
+            Parallelism::Threads(1),
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+            Parallelism::Threads(8),
+        ] {
+            let got: Vec<Option<u64>> = pred
+                .predict_many_with(peers, candidates, mode)
+                .into_iter()
+                .map(|s| s.map(f64::to_bits))
+                .collect();
+            prop_assert_eq!(&got, &oracle, "{} {:?}", label, mode);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The peer-side scatter is the rater-side summation, bit for
+        /// bit, on the monolithic matrix and on S ∈ {1, 2, 3, 8} shards:
+        /// negative similarities (so `den ≤ 0` must read `None`),
+        /// duplicate peer ids (the last wins), peer ids past the user
+        /// space, empty peer lists, candidates past the item space, in
+        /// any order, and candidate counts on both sides of
+        /// `MIN_PARALLEL_ITEMS` in every mode.
+        #[test]
+        fn scatter_matches_rater_side_oracle(
+            ratings in proptest::collection::btree_map(
+                (0u32..24, 0u32..40), 1.0f64..5.0, 1..200,
+            ),
+            peer_list in proptest::collection::vec((0u32..30, -1.0f64..1.0), 0..16),
+            len in proptest::sample::select(vec![
+                0, 1, 9, 60, MIN_PARALLEL_ITEMS - 1, MIN_PARALLEL_ITEMS, 2600,
+            ]),
+            rotate in 0usize..3000,
+        ) {
+            let mut b = RatingMatrixBuilder::new();
+            for (&(u, i), &r) in &ratings {
+                b.add_raw(UserId::new(u), ItemId::new(i), r).unwrap();
+            }
+            let m = b.build().unwrap();
+            let peers: Peers = peer_list
+                .into_iter()
+                .map(|(u, s)| (UserId::new(u), s))
+                .collect();
+            // Ascending with repeats over 0..48 (past the item space),
+            // rotated so parallel runs may also span unsorted ranges.
+            let mut candidates: Vec<ItemId> =
+                (0..len).map(|k| ItemId::new((k * 48 / len.max(1)) as u32)).collect();
+            if len > 0 {
+                candidates.rotate_left(rotate % len);
+            }
+            agrees_with_rater_side(&m, &peers, &candidates, "mono")?;
+            for shards in [1u32, 2, 3, 8] {
+                let part =
+                    ShardedRatingMatrix::from_matrix(&m, ShardSpec::new(shards).unwrap()).unwrap();
+                agrees_with_rater_side(&part, &peers, &candidates, &format!("S={shards}"))?;
+            }
         }
     }
 }

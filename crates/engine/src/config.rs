@@ -98,10 +98,14 @@ pub struct EngineConfig {
     /// Execution path for the prediction phase.
     pub execution: ExecutionPath,
     /// How the hot loops fan out: peer-index warming, per-member
-    /// Equation 1 scoring across candidates, and `recommend_batch` group
-    /// fan-out. Every mode produces bitwise identical results;
-    /// `Sequential` pins single-threaded execution for determinism tests
-    /// and tiny workloads.
+    /// Equation 1 scoring, and `recommend_batch` group fan-out. Equation
+    /// 1 splits a member's candidates into contiguous item ranges, one
+    /// per worker, each scattering its slice of the peers' rows; below
+    /// [`MIN_PARALLEL_ITEMS`](fairrec_core::relevance::MIN_PARALLEL_ITEMS)
+    /// candidates it stays on the calling thread.
+    /// Every mode produces bitwise identical results; `Sequential` pins
+    /// single-threaded execution for determinism tests and tiny
+    /// workloads.
     pub parallelism: Parallelism,
     /// `Some(S)` hash-partitions the user universe into `S` shards: the
     /// rating matrix is split per user, cold peer warms decompose into

@@ -1,36 +1,48 @@
 //! Owner-routed read access to a rating relation — the trait the
 //! Equation-1 tail of the pipeline is generic over.
 //!
-//! The relevance predictor and the recommendation tails only need four
-//! questions answered: how big are the id spaces, who rated an item
-//! (in **ascending global user order** — the canonical summation order
-//! the bitwise-determinism contract pins), and which items a set of
-//! users has left unrated. [`RatingsRead`] captures exactly that, so
-//! the same code serves the monolithic [`RatingMatrix`] and the
+//! The relevance predictor and the recommendation tails only need a few
+//! questions answered: how big are the id spaces, which items a user
+//! rated (the user's **row**, ascending by item id), who rated an item
+//! (the item's **column**, ascending by global user id), and which items
+//! a set of users has left unrated. [`RatingsRead`] captures exactly
+//! that, so the same code serves the monolithic [`RatingMatrix`] and the
 //! compacted [`ShardedRatingMatrix`] — the latter answering through
 //! owner routing alone, with no monolithic shadow copy anywhere.
 //!
-//! The sharded `for_each_rater` is an S-way merge of the per-shard
-//! columns. Each shard's column stores *local* ids, but the monotone
-//! remap means the translated per-shard streams each ascend by global
-//! id; merging by smallest head therefore replays the exact visiting
-//! order of the monolithic column, and Equation 1 sums in the same
-//! order to the same bits.
+//! Rows are the hot read: Equation 1 scatters each peer's row into
+//! dense per-item accumulators. A sharded row is owner-local — the
+//! owning shard holds the whole CSR row with global item ids — so it is
+//! the same slice pair the monolithic matrix answers, with no merge and
+//! no allocation.
+//!
+//! Columns are the single-item read. The sharded
+//! [`for_each_rater`](RatingsRead::for_each_rater) is an S-way merge of
+//! the per-shard columns. Each shard's column stores *local* ids, but
+//! the monotone remap means the translated per-shard streams each
+//! ascend by global id; merging by smallest head therefore replays the
+//! exact visiting order of the monolithic column.
 
 use crate::ids::{ItemId, UserId};
 use crate::matrix::RatingMatrix;
 use crate::shard::ShardedRatingMatrix;
 
 /// Read access to a rating relation, sufficient for Equation 1 and
-/// candidate enumeration. Implementations must visit raters in
-/// ascending global user id order — float summation order is part of
-/// the output contract.
+/// candidate enumeration. Rows must ascend by item id and columns by
+/// global user id — float summation order is part of the output
+/// contract.
 pub trait RatingsRead: Sync {
     /// Size of the (global) user id space.
     fn num_users(&self) -> u32;
 
     /// Size of the (global) item id space.
     fn num_items(&self) -> u32;
+
+    /// `user`'s row as parallel `(items, scores)` slices, ascending by
+    /// item id; both empty for a user outside the id space. Slices
+    /// rather than a visitor, so a caller scoring one item range can
+    /// `partition_point` to where the range starts.
+    fn ratings_row(&self, user: UserId) -> (&[ItemId], &[f64]);
 
     /// Visits every `(rater, score)` of `item`, ascending by global
     /// user id.
@@ -47,6 +59,10 @@ impl RatingsRead for RatingMatrix {
 
     fn num_items(&self) -> u32 {
         RatingMatrix::num_items(self)
+    }
+
+    fn ratings_row(&self, user: UserId) -> (&[ItemId], &[f64]) {
+        (self.items_of(user), self.scores_of(user))
     }
 
     fn for_each_rater(&self, item: ItemId, visit: &mut dyn FnMut(UserId, f64)) {
@@ -67,6 +83,11 @@ impl RatingsRead for ShardedRatingMatrix {
 
     fn num_items(&self) -> u32 {
         ShardedRatingMatrix::num_items(self)
+    }
+
+    fn ratings_row(&self, user: UserId) -> (&[ItemId], &[f64]) {
+        // The owning shard holds the whole row under global item ids.
+        self.owning_shard(user).ratings_row(user)
     }
 
     fn for_each_rater(&self, item: ItemId, visit: &mut dyn FnMut(UserId, f64)) {
@@ -143,6 +164,14 @@ mod tests {
                 let mut merged = Vec::new();
                 RatingsRead::for_each_rater(&part, i, &mut |u, r| merged.push((u, r.to_bits())));
                 assert_eq!(merged, mono, "S={s}, column {i}");
+            }
+            // Rows come from the owning shard alone; unknown ids are empty.
+            for u in (0..14).map(UserId::new) {
+                assert_eq!(
+                    RatingsRead::ratings_row(&part, u),
+                    RatingsRead::ratings_row(&m, u),
+                    "S={s}, row {u}"
+                );
             }
             for group in [
                 vec![],

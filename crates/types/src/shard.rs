@@ -222,12 +222,18 @@ impl ShardMatrix {
             .map_or(&[], |l| self.local.scores_of(l))
     }
 
+    /// [`items_of`](Self::items_of) and [`scores_of`](Self::scores_of)
+    /// together, behind one remap lookup.
+    pub fn ratings_row(&self, user: UserId) -> (&[ItemId], &[f64]) {
+        self.remap.local_of(user).map_or((&[], &[]), |l| {
+            (self.local.items_of(l), self.local.scores_of(l))
+        })
+    }
+
     /// `(item, score)` pairs of global user `user`, ascending by item.
     pub fn ratings_of(&self, user: UserId) -> impl Iterator<Item = (ItemId, f64)> + '_ {
-        self.items_of(user)
-            .iter()
-            .copied()
-            .zip(self.scores_of(user).iter().copied())
+        let (items, scores) = self.ratings_row(user);
+        items.iter().copied().zip(scores.iter().copied())
     }
 
     /// Raters of `item` owned by this shard as `(global id, score)`,
