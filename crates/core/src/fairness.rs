@@ -7,8 +7,11 @@
 //! `value(G, D) = fairness(G, D) · Σ_{i∈D} relevanceG(G, i)`.
 //!
 //! [`FairnessEvaluator`] precomputes, for every pool item, the bitmask of
-//! members whose top-k list contains it. Evaluating a package is then an
-//! OR over `|D|` masks plus a popcount — the O(1)-per-item inner loop the
+//! members whose top-k list contains it. The lists come from the pool's
+//! `A_u` memo ([`CandidatePool::top_k_lists`]): computed once per pool,
+//! memoised per `k`, and shared with Algorithm 1, so the evaluator itself
+//! only walks `Σ|A_u|` list entries. Evaluating a package is then an OR
+//! over `|D|` masks plus a popcount — the O(1)-per-item inner loop the
 //! brute force needs to enumerate hundreds of millions of combinations
 //! (§VI) in reasonable time. Group size is limited to 64 members per
 //! evaluator (one machine word); caregiver groups in the paper are far
@@ -27,6 +30,9 @@ pub struct FairnessEvaluator {
 }
 
 impl FairnessEvaluator {
+    /// Most members one evaluator supports: one bit each in a `u64` mask.
+    pub const MAX_MEMBERS: usize = 64;
+
     /// Builds the evaluator for `pool` with per-member lists of length `k`.
     ///
     /// A member whose predictions are all undefined has an empty top-k
@@ -44,24 +50,43 @@ impl FairnessEvaluator {
                 "top-k lists need k ≥ 1",
             ));
         }
-        let n = pool.num_members();
-        if n > 64 {
+        Self::check_group_size(pool.num_members())?;
+        Ok(Self::from_lists(pool.num_items(), &pool.top_k_lists(k), k))
+    }
+
+    /// Rejects a group of more than [`MAX_MEMBERS`](Self::MAX_MEMBERS)
+    /// members — the check [`new`](Self::new) makes, exposed so callers
+    /// can fail before computing predictions.
+    ///
+    /// # Errors
+    /// [`FairrecError::InvalidParameter`] naming the limit.
+    pub fn check_group_size(n: usize) -> Result<()> {
+        if n > Self::MAX_MEMBERS {
             return Err(FairrecError::invalid_parameter(
                 "group",
-                format!("fairness evaluator supports at most 64 members, got {n}"),
+                format!(
+                    "fairness evaluator supports at most {} members, got {n}",
+                    Self::MAX_MEMBERS
+                ),
             ));
         }
-        let mut masks = vec![0u64; pool.num_items()];
-        for member in 0..n {
-            for j in pool.top_k_positions(member, k) {
+        Ok(())
+    }
+
+    /// Masks from per-member lists `A_u` (pool positions, indexed by
+    /// member) over a pool of `num_items`.
+    pub(crate) fn from_lists(num_items: usize, lists: &[Vec<usize>], k: usize) -> Self {
+        let mut masks = vec![0u64; num_items];
+        for (member, list) in lists.iter().enumerate() {
+            for &j in list {
                 masks[j] |= 1u64 << member;
             }
         }
-        Ok(Self {
+        Self {
             masks,
-            num_members: n,
+            num_members: lists.len(),
             k,
-        })
+        }
     }
 
     /// The `k` the evaluator was built with.

@@ -20,8 +20,14 @@
 //!
 //! Ties in the argmax break toward the *smaller pool position* so runs are
 //! deterministic.
+//!
+//! The lists `A_u` are not rebuilt here: [`algorithm1`] reads the pool's
+//! memo ([`CandidatePool::top_k_lists`]), computed once per pool and
+//! memoised per `k` (a prefix serves any smaller `k`), so the evaluator
+//! built for the same request and the greedy share one selection pass per
+//! member.
 
-use crate::pool::CandidatePool;
+use crate::pool::{top_k_of, CandidatePool};
 use fairrec_types::ItemId;
 
 /// Why an item entered the selection — kept for explanations and tests.
@@ -69,15 +75,22 @@ impl Selection {
 /// `k` is the length of the per-member lists `A_u` (the same `k` the
 /// fairness definition uses). `z = 0` returns an empty selection.
 pub fn algorithm1(pool: &CandidatePool, z: usize, k: usize) -> Selection {
+    if z == 0 || pool.num_items() == 0 {
+        return Selection::default();
+    }
+    pairwise_greedy(pool, &pool.top_k_lists(k), z)
+}
+
+/// Algorithm 1's pair loop over given lists `A_u` (pool positions, best
+/// first, indexed by member); `z ≥ 1` and the pool is non-empty.
+pub(crate) fn pairwise_greedy(
+    pool: &CandidatePool,
+    top_lists: &[Vec<usize>],
+    z: usize,
+) -> Selection {
     let n = pool.num_members();
     let m = pool.num_items();
     let mut selection = Selection::default();
-    if z == 0 || m == 0 {
-        return selection;
-    }
-
-    // A_u for every member, as pool positions (best first).
-    let top_lists: Vec<Vec<usize>> = (0..n).map(|u| pool.top_k_positions(u, k)).collect();
     let mut selected = vec![false; m];
     let z = z.min(m);
 
@@ -140,17 +153,10 @@ pub fn algorithm1(pool: &CandidatePool, z: usize, k: usize) -> Selection {
 
 /// Baseline without fairness: the `z` items with the highest group
 /// relevance (§III-B's plain group top-k), ties by ascending position.
+/// Ranked by the pool's selection kernel, the same one that builds `A_u`.
 pub fn plain_top_z(pool: &CandidatePool, z: usize) -> Selection {
-    let mut order: Vec<usize> = (0..pool.num_items()).collect();
-    order.sort_by(|&a, &b| {
-        pool.group_relevance(b)
-            .partial_cmp(&pool.group_relevance(a))
-            .expect("group scores are finite")
-            .then(a.cmp(&b))
-    });
-    order.truncate(z);
     Selection {
-        positions: order,
+        positions: top_k_of(pool.group_scores(), z),
         steps: Vec::new(),
     }
 }

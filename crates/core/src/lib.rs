@@ -30,6 +30,8 @@ pub mod brute_force;
 pub mod fairness;
 pub mod greedy;
 pub mod group;
+#[cfg(test)]
+mod oracle;
 pub mod pool;
 pub mod predictions;
 pub mod proportionality;

@@ -7,12 +7,79 @@
 //! (items nobody can score cannot be ranked at all), optionally truncated
 //! to the best `m` by group relevance — the natural way a recommender
 //! shortlists before package selection.
+//!
+//! The pool also owns the per-member top-k lists `A_u` that Definition 3
+//! and Algorithm 1 both read. They are computed **once per pool**, by one
+//! bounded selection pass per member, and memoised for the `k` first asked
+//! for ([`CandidatePool::top_k_lists`]); because the prefix of a top-k
+//! list is the top-k' list, [`CandidatePool::top_k_positions`] reads the
+//! memo for every smaller `k'` too. The evaluator, Algorithm 1, the swap
+//! refinement, the brute force and the engine's per-member
+//! `personal_best` all read that one result.
+//!
+//! Every ranking here — `A_u`, the pool truncation and
+//! [`plain_top_z`](crate::greedy::plain_top_z) — shares one selection
+//! kernel and one order: higher score first, equal scores (`±0.0`
+//! included) to the smaller position, undefined and non-finite scores
+//! never ranked. It is the order [`TopK`](fairrec_types::TopK) gives when
+//! fed positions as item ids.
 
 use crate::predictions::GroupPredictions;
-use fairrec_types::{FairrecError, ItemId, Relevance, Result, TopK, UserId};
+use fairrec_types::{FairrecError, ItemId, Relevance, Result, UserId};
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::OnceLock;
+
+/// Largest `k` the insertion kernel serves. A larger `k` (`plain_top_z`
+/// over the whole pool, a wide pool truncation) selects and sorts
+/// instead, in the same order, for `O(m log m)` rather than `O(m·k)`.
+const INSERTION_MAX_K: usize = 64;
+
+/// Positions of the `k` best scores, best first; equal scores go to the
+/// smaller position, and `None` and non-finite scores are skipped.
+///
+/// For small `k` the scan keeps at most `k` `(score, position)` pairs
+/// best-first: once full, a score enters only if it is strictly greater
+/// than the current worst, so a later position never wins a tie.
+pub(crate) fn top_k_of<S: Copy + Into<Option<Relevance>>>(scores: &[S], k: usize) -> Vec<usize> {
+    let finite = |s: S| s.into().filter(|s| s.is_finite());
+    if k > INSERTION_MAX_K {
+        let mut ranked: Vec<(Relevance, usize)> = scores
+            .iter()
+            .enumerate()
+            .filter_map(|(j, &s)| finite(s).map(|s| (s, j)))
+            .collect();
+        let best_first = |a: &(Relevance, usize), b: &(Relevance, usize)| {
+            b.0.partial_cmp(&a.0)
+                .expect("finite scores")
+                .then(a.1.cmp(&b.1))
+        };
+        if k < ranked.len() {
+            ranked.select_nth_unstable_by(k, best_first);
+            ranked.truncate(k);
+        }
+        ranked.sort_unstable_by(best_first);
+        return ranked.into_iter().map(|(_, j)| j).collect();
+    }
+    let mut best: Vec<(Relevance, usize)> = Vec::with_capacity(k);
+    for (j, &score) in scores.iter().enumerate() {
+        let Some(s) = finite(score) else { continue };
+        if best.len() == k {
+            match best.last() {
+                Some(&(worst, _)) if s > worst => {
+                    best.pop();
+                }
+                _ => continue,
+            }
+        }
+        let at = best.partition_point(|&(b, _)| b >= s);
+        best.insert(at, (s, j));
+    }
+    best.into_iter().map(|(_, j)| j).collect()
+}
 
 /// Dense per-member and group scores over a shortlist of candidates.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct CandidatePool {
     members: Vec<UserId>,
     items: Vec<ItemId>,
@@ -21,6 +88,30 @@ pub struct CandidatePool {
     member_scores: Vec<Vec<Option<Relevance>>>,
     /// Dense: every pooled item has a group score.
     group_scores: Vec<Relevance>,
+    /// `(k, A_u for every member)`, filled by the first
+    /// [`top_k_lists`](Self::top_k_lists). A cache of the fields above,
+    /// so equality and debug output ignore it.
+    top_lists: OnceLock<(usize, Vec<Vec<usize>>)>,
+}
+
+impl PartialEq for CandidatePool {
+    fn eq(&self, other: &Self) -> bool {
+        self.members == other.members
+            && self.items == other.items
+            && self.member_scores == other.member_scores
+            && self.group_scores == other.group_scores
+    }
+}
+
+impl fmt::Debug for CandidatePool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CandidatePool")
+            .field("members", &self.members)
+            .field("items", &self.items)
+            .field("member_scores", &self.member_scores)
+            .field("group_scores", &self.group_scores)
+            .finish()
+    }
 }
 
 impl CandidatePool {
@@ -47,16 +138,7 @@ impl CandidatePool {
             .collect();
         let keep: Vec<usize> = match max_items {
             Some(m) if m < scored.len() => {
-                let mut top = TopK::new(m);
-                for &j in &scored {
-                    // TopK keys by ItemId for ties; feed positions as ids.
-                    top.push(
-                        ItemId::new(u32::try_from(j).expect("pool fits in u32")),
-                        predictions.group_relevance(j).expect("scored"),
-                    );
-                }
-                let mut keep: Vec<usize> =
-                    top.into_items().into_iter().map(|i| i.index()).collect();
+                let mut keep = top_k_of(predictions.group_scores(), m);
                 keep.sort_unstable(); // restore item-id order
                 keep
             }
@@ -87,6 +169,7 @@ impl CandidatePool {
             items,
             member_scores,
             group_scores,
+            top_lists: OnceLock::new(),
         })
     }
 
@@ -111,6 +194,7 @@ impl CandidatePool {
             items,
             member_scores,
             group_scores,
+            top_lists: OnceLock::new(),
         }
     }
 
@@ -151,14 +235,40 @@ impl CandidatePool {
 
     /// The per-member top-k list `A_u` as pool *positions* (not item ids),
     /// best first, ties by ascending position.
+    ///
+    /// Reads a prefix of the memoised lists when they were built for a
+    /// `k` at least this large; otherwise computes the list afresh
+    /// (without filling the memo).
     pub fn top_k_positions(&self, member_idx: usize, k: usize) -> Vec<usize> {
-        let mut top = TopK::new(k);
-        for (j, score) in self.member_scores[member_idx].iter().enumerate() {
-            if let Some(s) = score {
-                top.push(ItemId::new(u32::try_from(j).expect("pool fits u32")), *s);
+        match self.top_lists.get() {
+            Some((memo_k, lists)) if k <= *memo_k => {
+                let list = &lists[member_idx];
+                list[..k.min(list.len())].to_vec()
             }
+            _ => top_k_of(&self.member_scores[member_idx], k),
         }
-        top.into_items().into_iter().map(|i| i.index()).collect()
+    }
+
+    /// `A_u` for every member, indexed by member: the lists of
+    /// [`top_k_positions`](Self::top_k_positions). The first call fills
+    /// the memo with its `k` and borrows it; later calls borrow it for the
+    /// same `k` and compute afresh for any other.
+    pub fn top_k_lists(&self, k: usize) -> Cow<'_, [Vec<usize>]> {
+        let (memo_k, lists) = self
+            .top_lists
+            .get_or_init(|| (k, self.compute_top_k_lists(k)));
+        if *memo_k == k {
+            Cow::Borrowed(lists)
+        } else {
+            Cow::Owned(self.compute_top_k_lists(k))
+        }
+    }
+
+    fn compute_top_k_lists(&self, k: usize) -> Vec<Vec<usize>> {
+        self.member_scores
+            .iter()
+            .map(|scores| top_k_of(scores, k))
+            .collect()
     }
 
     /// Sum of group relevance over a set of pool positions (the Σ term of

@@ -95,6 +95,11 @@ impl GroupPredictions {
         self.group_scores[item_idx]
     }
 
+    /// All group scores, parallel to [`items`](Self::items).
+    pub(crate) fn group_scores(&self) -> &[Option<Relevance>] {
+        &self.group_scores
+    }
+
     /// The top-k list `A_u` of one member over the candidates.
     pub fn top_k_for_member(&self, member_idx: usize, k: usize) -> Vec<ScoredItem> {
         let mut top = TopK::new(k);

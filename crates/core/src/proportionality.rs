@@ -63,8 +63,8 @@ impl ProportionalityEvaluator {
             ));
         }
         let mut masks = vec![0u64; pool.num_items()];
-        for member in 0..n {
-            for j in pool.top_k_positions(member, k) {
+        for (member, list) in pool.top_k_lists(k).iter().enumerate() {
+            for &j in list {
                 masks[j] |= 1u64 << member;
             }
         }
@@ -140,9 +140,11 @@ pub fn greedy_proportional(
     }
 
     // Per-member top-k lists pre-sorted by descending group relevance.
-    let top_lists: Vec<Vec<usize>> = (0..n)
-        .map(|u| {
-            let mut list = pool.top_k_positions(u, k);
+    let top_lists: Vec<Vec<usize>> = pool
+        .top_k_lists(k)
+        .iter()
+        .map(|list| {
+            let mut list = list.clone();
             list.sort_by(|&a, &b| {
                 pool.group_relevance(b)
                     .partial_cmp(&pool.group_relevance(a))

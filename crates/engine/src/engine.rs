@@ -1280,6 +1280,8 @@ impl RecommenderEngine {
         z: usize,
         parallelism: Parallelism,
     ) -> Result<GroupRecommendation> {
+        // Fail an oversized group before Equation 1, not after it.
+        FairnessEvaluator::check_group_size(group.members().len())?;
         let predictions = self.predictions_with(group, parallelism)?;
         let pool = CandidatePool::from_predictions(&predictions, self.config.pool_size)?;
         let evaluator = FairnessEvaluator::new(&pool, self.config.k)?;
@@ -1297,14 +1299,19 @@ impl RecommenderEngine {
         // Optional fairness-agnostic padding to exactly z items; ranks
         // from `padded_from` onwards are padding, not selection.
         let padded_from = selection.len();
-        if self.config.pad_to_z && selection.len() < z.min(pool.num_items()) {
+        let target = z.min(pool.num_items());
+        if self.config.pad_to_z && selection.len() < target {
             let mut in_set = vec![false; pool.num_items()];
             for &j in &selection.positions {
                 in_set[j] = true;
             }
-            let filler = plain_top_z(&pool, pool.num_items());
+            // The best `target` by group relevance hold at least
+            // `target - |D|` unselected items, and they come first in the
+            // full ranking, so ranking `target` pads exactly as ranking
+            // the whole pool would.
+            let filler = plain_top_z(&pool, target);
             for j in filler.positions {
-                if selection.len() >= z.min(pool.num_items()) {
+                if selection.len() >= target {
                     break;
                 }
                 if !in_set[j] {
@@ -1346,6 +1353,9 @@ impl RecommenderEngine {
         let fairness = evaluator.fairness(&selection.positions);
         let value = evaluator.value(pool, &selection.positions);
         let satisfied_mask = evaluator.satisfied_mask(&selection.positions);
+        // The evaluator filled the pool's A_u memo for the configured k
+        // (≥ 1), so each member's personal best is its list's head.
+        let top_lists = pool.top_k_lists(self.config.k);
 
         let members: Vec<MemberSatisfaction> = group
             .members()
@@ -1359,7 +1369,7 @@ impl RecommenderEngine {
                     .filter_map(|(rank, &j)| pool.member_relevance(m, j).map(|s| (rank, s)))
                     .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(b.0.cmp(&a.0)))
                     .map(|(rank, _)| rank);
-                let personal_best = pool.top_k_positions(m, 1).first().map(|&j| {
+                let personal_best = top_lists[m].first().map(|&j| {
                     ScoredItem::new(
                         pool.items()[j],
                         pool.member_relevance(m, j)
@@ -2122,5 +2132,35 @@ mod tests {
         let rec = e.recommend_for_group(&g, 5).unwrap();
         assert_eq!(rec.items.len(), 5);
         assert!(rec.items.iter().all(|i| i.padded));
+    }
+
+    #[test]
+    fn padding_after_a_partial_selection_follows_the_whole_pool_ranking() {
+        // k = 1: Algorithm 1 exhausts the one-item lists after at most
+        // |G| picks, so most of the package is padding drawn around them.
+        let e = engine(EngineConfig {
+            k: 1,
+            ..Default::default()
+        });
+        let g = Group::new(GroupId::new(2), (3..6).map(UserId::new)).unwrap();
+        let mut mixed = false;
+        for z in [2, 5, 9, 40] {
+            let rec = e.recommend_for_group(&g, z).unwrap();
+            let pool =
+                CandidatePool::from_predictions(&e.predictions_for(&g).unwrap(), None).unwrap();
+            let mut positions = algorithm1(&pool, z, 1).positions;
+            let greedy = positions.len();
+            for j in plain_top_z(&pool, pool.num_items()).positions {
+                if positions.len() < z.min(pool.num_items()) && !positions.contains(&j) {
+                    positions.push(j);
+                }
+            }
+            let expected: Vec<ItemId> = positions.iter().map(|&j| pool.items()[j]).collect();
+            let served: Vec<ItemId> = rec.items.iter().map(|i| i.item).collect();
+            assert_eq!(served, expected, "z={z}");
+            assert!(rec.items[greedy..].iter().all(|i| i.padded), "z={z}");
+            mixed |= greedy > 0 && greedy < served.len();
+        }
+        assert!(mixed, "some package mixes greedy picks and padding");
     }
 }

@@ -1,6 +1,8 @@
 //! End-to-end integration: dataset → engine → recommendation → report.
 
+use fairrec::engine::{Server, ServerConfig};
 use fairrec::prelude::*;
+use fairrec::types::Deadline;
 
 fn engine_with(config: EngineConfig, seed: u64) -> (RecommenderEngine, SyntheticDataset) {
     let ontology = fairrec::ontology::snomed::clinical_fragment();
@@ -202,4 +204,22 @@ fn oversized_group_is_rejected_cleanly() {
     let group = Group::new(GroupId::new(0), members).unwrap();
     let err = engine.recommend_for_group(&group, 70).unwrap_err();
     assert!(err.to_string().contains("64"), "got: {err}");
+
+    // Every serving surface rejects the group with the same typed error.
+    let named_64 = |err: &FairrecError| {
+        matches!(err, FairrecError::InvalidParameter { .. }) && err.to_string().contains("64")
+    };
+    assert!(named_64(&err), "got: {err:?}");
+    let err = engine
+        .recommend_batch(std::slice::from_ref(&group), 70)
+        .unwrap_err();
+    assert!(named_64(&err), "recommend_batch got: {err:?}");
+    let outcomes = engine.recommend_requests(&[(group.clone(), 70)]);
+    assert_eq!(outcomes.len(), 1);
+    let err = outcomes[0].as_ref().unwrap_err();
+    assert!(named_64(err), "recommend_requests got: {err:?}");
+    let server = Server::new(std::sync::Arc::new(engine), ServerConfig::default());
+    let err = server.recommend(group, 70, Deadline::none()).unwrap_err();
+    assert!(named_64(&err), "Server got: {err:?}");
+    server.shutdown();
 }
