@@ -76,14 +76,8 @@ impl FairnessEvaluator {
     /// Masks from per-member lists `A_u` (pool positions, indexed by
     /// member) over a pool of `num_items`.
     pub(crate) fn from_lists(num_items: usize, lists: &[Vec<usize>], k: usize) -> Self {
-        let mut masks = vec![0u64; num_items];
-        for (member, list) in lists.iter().enumerate() {
-            for &j in list {
-                masks[j] |= 1u64 << member;
-            }
-        }
         Self {
-            masks,
+            masks: membership_masks(num_items, lists),
             num_members: lists.len(),
             k,
         }
@@ -129,6 +123,17 @@ impl FairnessEvaluator {
             .filter(|&m| mask & (1u64 << m) == 0)
             .collect()
     }
+}
+
+/// `masks[j]`: bit `u` set ⇔ pool position `j` is in `lists[u]`.
+pub(crate) fn membership_masks(num_items: usize, lists: &[Vec<usize>]) -> Vec<u64> {
+    let mut masks = vec![0u64; num_items];
+    for (member, list) in lists.iter().enumerate() {
+        for &j in list {
+            masks[j] |= 1u64 << member;
+        }
+    }
+    masks
 }
 
 #[cfg(test)]

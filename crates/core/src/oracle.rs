@@ -231,11 +231,10 @@ proptest! {
     }
 
     /// The memo: the first `k` is borrowed and any other `k'` computed
-    /// afresh, `top_k_positions` reads a prefix for a smaller `k'` and
-    /// recomputes a larger one, a clone keeps the memo, and a pool with a
-    /// filled memo equals a fresh one.
+    /// afresh, `top_k_positions` ignores it, a clone keeps it, and a pool
+    /// with a filled memo equals a fresh one.
     #[test]
-    fn the_memo_serves_prefixes_and_recomputes_larger_k(
+    fn the_memo_serves_its_k_and_recomputes_any_other(
         pool in arb_pool(40, false),
         k in arb_k(),
         other in arb_k(),

@@ -11,11 +11,9 @@
 //! The pool also owns the per-member top-k lists `A_u` that Definition 3
 //! and Algorithm 1 both read. They are computed **once per pool**, by one
 //! bounded selection pass per member, and memoised for the `k` first asked
-//! for ([`CandidatePool::top_k_lists`]); because the prefix of a top-k
-//! list is the top-k' list, [`CandidatePool::top_k_positions`] reads the
-//! memo for every smaller `k'` too. The evaluator, Algorithm 1, the swap
-//! refinement, the brute force and the engine's per-member
-//! `personal_best` all read that one result.
+//! for ([`CandidatePool::top_k_lists`]). The evaluator, Algorithm 1, the
+//! swap refinement, the brute force and the engine's per-member
+//! `personal_best` (the head of its list) all read that one result.
 //!
 //! Every ranking here — `A_u`, the pool truncation and
 //! [`plain_top_z`](crate::greedy::plain_top_z) — shares one selection
@@ -30,40 +28,22 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// Largest `k` the insertion kernel serves. A larger `k` (`plain_top_z`
-/// over the whole pool, a wide pool truncation) selects and sorts
-/// instead, in the same order, for `O(m log m)` rather than `O(m·k)`.
-const INSERTION_MAX_K: usize = 64;
-
 /// Positions of the `k` best scores, best first; equal scores go to the
 /// smaller position, and `None` and non-finite scores are skipped.
 ///
-/// For small `k` the scan keeps at most `k` `(score, position)` pairs
-/// best-first: once full, a score enters only if it is strictly greater
-/// than the current worst, so a later position never wins a tie.
+/// The scan keeps at most `k` `(score, position)` pairs best-first: once
+/// full, a score enters only if it is strictly greater than the current
+/// worst, so a later position never wins a tie. A rejected score costs one
+/// comparison and an admitted one an `O(k)` shift. Once the list is full
+/// few scores in no particular order are admitted, so for a `k` well below
+/// the number of scores the pass is close to one comparison per position;
+/// scores in ascending order are the worst case, `O(m·k)`.
 pub(crate) fn top_k_of<S: Copy + Into<Option<Relevance>>>(scores: &[S], k: usize) -> Vec<usize> {
-    let finite = |s: S| s.into().filter(|s| s.is_finite());
-    if k > INSERTION_MAX_K {
-        let mut ranked: Vec<(Relevance, usize)> = scores
-            .iter()
-            .enumerate()
-            .filter_map(|(j, &s)| finite(s).map(|s| (s, j)))
-            .collect();
-        let best_first = |a: &(Relevance, usize), b: &(Relevance, usize)| {
-            b.0.partial_cmp(&a.0)
-                .expect("finite scores")
-                .then(a.1.cmp(&b.1))
-        };
-        if k < ranked.len() {
-            ranked.select_nth_unstable_by(k, best_first);
-            ranked.truncate(k);
-        }
-        ranked.sort_unstable_by(best_first);
-        return ranked.into_iter().map(|(_, j)| j).collect();
-    }
     let mut best: Vec<(Relevance, usize)> = Vec::with_capacity(k);
     for (j, &score) in scores.iter().enumerate() {
-        let Some(s) = finite(score) else { continue };
+        let Some(s) = score.into().filter(|s| s.is_finite()) else {
+            continue;
+        };
         if best.len() == k {
             match best.last() {
                 Some(&(worst, _)) if s > worst => {
@@ -235,18 +215,8 @@ impl CandidatePool {
 
     /// The per-member top-k list `A_u` as pool *positions* (not item ids),
     /// best first, ties by ascending position.
-    ///
-    /// Reads a prefix of the memoised lists when they were built for a
-    /// `k` at least this large; otherwise computes the list afresh
-    /// (without filling the memo).
     pub fn top_k_positions(&self, member_idx: usize, k: usize) -> Vec<usize> {
-        match self.top_lists.get() {
-            Some((memo_k, lists)) if k <= *memo_k => {
-                let list = &lists[member_idx];
-                list[..k.min(list.len())].to_vec()
-            }
-            _ => top_k_of(&self.member_scores[member_idx], k),
-        }
+        top_k_of(&self.member_scores[member_idx], k)
     }
 
     /// `A_u` for every member, indexed by member: the lists of

@@ -20,6 +20,7 @@
 //! [`FairnessEvaluator`](crate::fairness::FairnessEvaluator) — asserted in
 //! the tests.
 
+use crate::fairness::{membership_masks, FairnessEvaluator};
 use crate::greedy::Selection;
 use crate::pool::CandidatePool;
 use fairrec_types::{FairrecError, Result};
@@ -56,20 +57,9 @@ impl ProportionalityEvaluator {
             ));
         }
         let n = pool.num_members();
-        if n > 64 {
-            return Err(FairrecError::invalid_parameter(
-                "group",
-                format!("at most 64 members supported, got {n}"),
-            ));
-        }
-        let mut masks = vec![0u64; pool.num_items()];
-        for (member, list) in pool.top_k_lists(k).iter().enumerate() {
-            for &j in list {
-                masks[j] |= 1u64 << member;
-            }
-        }
+        FairnessEvaluator::check_group_size(n)?;
         Ok(Self {
-            masks,
+            masks: membership_masks(pool.num_items(), &pool.top_k_lists(k)),
             num_members: n,
             k,
             required: m,
