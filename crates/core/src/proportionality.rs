@@ -16,9 +16,8 @@
 //!   satisfied member their best remaining top-k item (by group
 //!   relevance), then fills leftover slots with plain top relevance.
 //!
-//! For `m = 1` the evaluator coincides with
-//! [`FairnessEvaluator`](crate::fairness::FairnessEvaluator) — asserted in
-//! the tests.
+//! For `m = 1` the evaluator coincides with [`FairnessEvaluator`] —
+//! asserted in the tests.
 
 use crate::fairness::{membership_masks, FairnessEvaluator};
 use crate::greedy::Selection;

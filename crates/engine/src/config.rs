@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use fairrec_core::aggregate::{Aggregation, MissingPolicy};
-use fairrec_mapreduce::JobConfig;
 use fairrec_types::Parallelism;
 
 /// Which §V similarity measure drives peer selection.
@@ -60,18 +59,15 @@ pub enum IngestPolicy {
     AlwaysBlanket,
 }
 
-/// Whether predictions run in memory or through the MapReduce pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionPath {
-    /// Direct in-memory computation (the reference).
-    InMemory,
-    /// The §IV Job 0–3 pipeline on the in-process MapReduce engine.
-    MapReduce(JobConfig),
-}
-
 /// All engine knobs. `Default` reproduces the paper's setup as closely as
 /// its text pins down: ratings similarity, δ = 0, k = 10, average
-/// aggregation, greedy selection, in-memory execution.
+/// aggregation, greedy selection.
+///
+/// The engine always predicts in memory. The paper's §IV MapReduce
+/// formulation is a separate entry point
+/// ([`fairrec_mapreduce::mapreduce_group_predictions`]); its predictions
+/// are served through
+/// [`RecommenderEngine::recommend_from_predictions`](crate::RecommenderEngine::recommend_from_predictions).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Peer similarity measure.
@@ -95,8 +91,6 @@ pub struct EngineConfig {
     /// Pad the package with plain top-relevance items when the fairness
     /// algorithm returns fewer than `z` (exhausted `A_u` lists).
     pub pad_to_z: bool,
-    /// Execution path for the prediction phase.
-    pub execution: ExecutionPath,
     /// How the hot loops fan out: peer-index warming, per-member
     /// Equation 1 scoring, and `recommend_batch` group fan-out. Equation
     /// 1 splits a member's candidates into contiguous item ranges, one
@@ -137,7 +131,6 @@ impl Default for EngineConfig {
             pool_size: None,
             algorithm: SelectionAlgorithm::Greedy,
             pad_to_z: true,
-            execution: ExecutionPath::InMemory,
             parallelism: Parallelism::default(),
             num_shards: None,
             ingest_policy: IngestPolicy::default(),
@@ -220,7 +213,6 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(c.similarity, SimilarityKind::Ratings);
         assert_eq!(c.algorithm, SelectionAlgorithm::Greedy);
-        assert_eq!(c.execution, ExecutionPath::InMemory);
         assert_eq!(c.k, 10);
     }
 

@@ -17,9 +17,7 @@
 //! it — and [`RecommenderEngine::invalidate_peers`] remains the manual
 //! fallback (the index docs spell out the full update-path contract).
 
-use crate::config::{
-    EngineConfig, ExecutionPath, IngestPolicy, SelectionAlgorithm, SimilarityKind,
-};
+use crate::config::{EngineConfig, IngestPolicy, SelectionAlgorithm, SimilarityKind};
 use fairrec_core::brute_force::brute_force;
 use fairrec_core::fairness::FairnessEvaluator;
 use fairrec_core::greedy::{algorithm1, plain_top_z, Selection};
@@ -31,7 +29,6 @@ use fairrec_core::predictions::{
 };
 use fairrec_core::recommend::{single_user_top_k_from_peers, single_user_top_k_with_index};
 use fairrec_core::swap::swap_refine;
-use fairrec_mapreduce::{mapreduce_group_predictions, PipelineConfig};
 use fairrec_ontology::Ontology;
 use fairrec_phr::PhrStore;
 use fairrec_similarity::{
@@ -1178,57 +1175,13 @@ impl RecommenderEngine {
         }
     }
 
-    /// The prediction phase, on the configured execution path.
+    /// The prediction phase (Equation 1 + Definition 2), in memory
+    /// through the configured peer backend.
     ///
     /// # Errors
     /// Propagates prediction failures (unknown members etc.).
     pub fn predictions_for(&self, group: &Group) -> Result<GroupPredictions> {
-        self.predictions_with(group, self.config.parallelism)
-    }
-
-    fn predictions_with(
-        &self,
-        group: &Group,
-        parallelism: Parallelism,
-    ) -> Result<GroupPredictions> {
-        let cfg = GroupPredictionConfig {
-            aggregation: self.config.aggregation,
-            missing: self.config.missing,
-            parallelism,
-        };
-        match self.config.execution {
-            ExecutionPath::InMemory => self.in_memory_predictions(group, cfg),
-            ExecutionPath::MapReduce(job) => {
-                // The MapReduce pipeline computes ratings-based similarity
-                // (the decomposable measure of §IV); other measures fall
-                // back to in-memory with a documented rationale: profile
-                // and semantic similarities depend on side data (tf-idf
-                // corpus, ontology paths) that the paper's jobs do not
-                // shuffle.
-                if !matches!(self.config.similarity, SimilarityKind::Ratings) {
-                    return self.in_memory_predictions(group, cfg);
-                }
-                let pipeline = PipelineConfig {
-                    delta: self.config.delta,
-                    min_overlap: self.config.min_overlap,
-                    max_peers: self.config.max_peers,
-                    aggregation: self.config.aggregation,
-                    missing: self.config.missing,
-                    job,
-                    // The engine exercises the faithful distributed
-                    // formulation; both producers are proven identical
-                    // by the pipeline's equality tests.
-                    edge_producer: Default::default(),
-                };
-                let (preds, _report) = mapreduce_group_predictions(
-                    self.store.to_triples(),
-                    self.store.num_items(),
-                    group,
-                    &pipeline,
-                )?;
-                Ok(preds)
-            }
-        }
+        self.in_memory_predictions(group, self.config.parallelism)
     }
 
     /// The in-memory prediction phase, routed through whichever peer
@@ -1239,8 +1192,13 @@ impl RecommenderEngine {
     fn in_memory_predictions(
         &self,
         group: &Group,
-        cfg: GroupPredictionConfig,
+        parallelism: Parallelism,
     ) -> Result<GroupPredictions> {
+        let cfg = GroupPredictionConfig {
+            aggregation: self.config.aggregation,
+            missing: self.config.missing,
+            parallelism,
+        };
         match &self.peers {
             PeerBackend::Mono(index) => {
                 let matrix = self
@@ -1250,11 +1208,7 @@ impl RecommenderEngine {
                 compute_group_predictions_with_index(matrix, &self.measure, index, group, cfg)
             }
             PeerBackend::Sharded(_) => {
-                for &m in group.members() {
-                    if m.raw() >= self.store.num_users() {
-                        return Err(FairrecError::UnknownUser { user: m });
-                    }
-                }
+                self.check_known_members(group)?;
                 compute_group_predictions_from_peers(
                     self.store.reads(),
                     self.group_peer_lists(group.members()),
@@ -1262,6 +1216,18 @@ impl RecommenderEngine {
                     cfg,
                 )
             }
+        }
+    }
+
+    /// Rejects a group holding a user outside the store's user space.
+    fn check_known_members(&self, group: &Group) -> Result<()> {
+        match group
+            .members()
+            .iter()
+            .find(|m| m.raw() >= self.store.num_users())
+        {
+            Some(&user) => Err(FairrecError::UnknownUser { user }),
+            None => Ok(()),
         }
     }
 
@@ -1282,8 +1248,43 @@ impl RecommenderEngine {
     ) -> Result<GroupRecommendation> {
         // Fail an oversized group before Equation 1, not after it.
         FairnessEvaluator::check_group_size(group.members().len())?;
-        let predictions = self.predictions_with(group, parallelism)?;
-        let pool = CandidatePool::from_predictions(&predictions, self.config.pool_size)?;
+        let predictions = self.in_memory_predictions(group, parallelism)?;
+        self.recommend_from_predictions(group, &predictions, z)
+    }
+
+    /// Recommends the top-z package for `group` from predictions computed
+    /// elsewhere — e.g. by the §IV MapReduce pipeline
+    /// ([`fairrec_mapreduce::mapreduce_group_predictions`]). This is the
+    /// selection half of [`recommend_for_group`](Self::recommend_for_group),
+    /// which funnels through here: candidate pool → configured selection
+    /// algorithm → optional padding → assembly → observer. Predictions
+    /// equal to [`predictions_for`](Self::predictions_for)`(group)` give
+    /// the identical package.
+    ///
+    /// # Errors
+    /// The group checks of [`recommend_for_group`](Self::recommend_for_group)
+    /// (oversized group, [`FairrecError::UnknownUser`]), then
+    /// [`FairrecError::InvalidParameter`] when the predictions' members
+    /// differ from the group's, then pool/evaluator failures.
+    pub fn recommend_from_predictions(
+        &self,
+        group: &Group,
+        predictions: &GroupPredictions,
+        z: usize,
+    ) -> Result<GroupRecommendation> {
+        FairnessEvaluator::check_group_size(group.members().len())?;
+        self.check_known_members(group)?;
+        if predictions.members() != group.members() {
+            return Err(FairrecError::invalid_parameter(
+                "predictions",
+                format!(
+                    "computed for members {:?}, not for the group's {:?}",
+                    predictions.members(),
+                    group.members()
+                ),
+            ));
+        }
+        let pool = CandidatePool::from_predictions(predictions, self.config.pool_size)?;
         let evaluator = FairnessEvaluator::new(&pool, self.config.k)?;
 
         let mut selection = match self.config.algorithm {
@@ -1490,7 +1491,7 @@ impl RecommenderEngine {
 mod tests {
     use super::*;
     use fairrec_data::{SyntheticConfig, SyntheticDataset};
-    use fairrec_mapreduce::JobConfig;
+    use fairrec_mapreduce::{mapreduce_group_predictions, JobConfig, PipelineConfig};
     use fairrec_ontology::snomed::clinical_fragment;
     use fairrec_types::GroupId;
 
@@ -1567,16 +1568,49 @@ mod tests {
 
     #[test]
     fn mapreduce_path_matches_in_memory() {
-        let base = EngineConfig::default();
-        let e_mem = engine(base);
-        let e_mr = engine(EngineConfig {
-            execution: ExecutionPath::MapReduce(JobConfig::with_workers(2)),
-            ..base
-        });
-        let g = group(&e_mem);
-        let mem = e_mem.recommend_for_group(&g, 6).unwrap();
-        let mr = e_mr.recommend_for_group(&g, 6).unwrap();
-        assert_eq!(mem, mr, "the two execution paths must agree exactly");
+        // The §IV pipeline's predictions, fed through the selection half,
+        // give the package `recommend_for_group` serves — on the mono and
+        // the sharded store, for the fairness and the plain selector.
+        for num_shards in [None, Some(3)] {
+            for algorithm in [SelectionAlgorithm::Greedy, SelectionAlgorithm::PlainTopZ] {
+                let e = engine(EngineConfig {
+                    num_shards,
+                    algorithm,
+                    ..Default::default()
+                });
+                let g = group(&e);
+                let (pipeline, _) = mapreduce_group_predictions(
+                    e.ratings().to_triples(),
+                    e.ratings().num_items(),
+                    &g,
+                    &PipelineConfig {
+                        job: JobConfig::with_workers(2),
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                assert_eq!(
+                    e.recommend_from_predictions(&g, &pipeline, 6).unwrap(),
+                    e.recommend_for_group(&g, 6).unwrap(),
+                    "shards {num_shards:?}, {algorithm:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn predictions_for_another_group_are_rejected() {
+        let e = engine(EngineConfig::default());
+        let g = group(&e);
+        let other = Group::new(GroupId::new(1), [UserId::new(4), UserId::new(5)]).unwrap();
+        let preds = e.predictions_for(&other).unwrap();
+        assert!(matches!(
+            e.recommend_from_predictions(&g, &preds, 6),
+            Err(FairrecError::InvalidParameter {
+                name: "predictions",
+                ..
+            })
+        ));
     }
 
     #[test]

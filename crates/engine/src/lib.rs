@@ -6,9 +6,10 @@
 //! that are *"highly related and fair"* to their patient groups.
 //!
 //! * [`EngineConfig`] — every model knob in one place (similarity measure,
-//!   δ, k, aggregation, pool size, selection algorithm, execution path),
+//!   δ, k, aggregation, pool size, selection algorithm, sharding),
 //! * [`RecommenderEngine`] — owns the data, answers group and single-user
-//!   queries over either the in-memory path or the MapReduce pipeline,
+//!   queries in memory, and serves predictions computed elsewhere (the
+//!   §IV MapReduce pipeline) through the same selection path,
 //! * [`GroupRecommendation`] / [`MemberSatisfaction`] — the result with a
 //!   per-member fairness explanation,
 //! * [`evaluation`] — hold-out prediction quality (MAE/RMSE/coverage) and
@@ -24,7 +25,7 @@ mod engine;
 pub mod evaluation;
 mod serving;
 
-pub use config::{EngineConfig, ExecutionPath, IngestPolicy, SelectionAlgorithm, SimilarityKind};
+pub use config::{EngineConfig, IngestPolicy, SelectionAlgorithm, SimilarityKind};
 pub use engine::{
     BatchIngestReport, BatchPeerMaintenance, GroupRecommendation, IngestOp, IngestReport,
     MemberSatisfaction, PeerBackend, PeerMaintenance, RatingStore, RecommendationObserver,

@@ -135,8 +135,11 @@ fn dispatcher_panics_are_contained_and_every_ticket_resolves() {
     assert_eq!(internal, 48, "every ticket must resolve, none may hang");
 
     // The plan is gone: the same server (same dispatchers, same locks)
-    // must answer cleanly — the panics leaked no poisoned state.
+    // must answer cleanly — the panics leaked no poisoned state. A
+    // rule-free plan stays installed for the probe: it keeps the install
+    // lock, so another test's plan cannot reach this server meanwhile.
     drop(guard);
+    let _quiet = FaultPlan::new(env_seed()).install();
     let healthy = server
         .recommend(group(3), 5, Deadline::none())
         .expect("server must stay serviceable after contained panics");

@@ -111,28 +111,12 @@ pub enum Job1Out {
 pub struct Job1Reducer {
     group: Vec<UserId>,
     means: HashMap<UserId, f64>,
-    emit_partials: bool,
 }
 
 impl Job1Reducer {
     /// Creates the reducer with its side data.
     pub fn new(group: Vec<UserId>, means: HashMap<UserId, f64>) -> Self {
-        Self {
-            group,
-            means,
-            emit_partials: true,
-        }
-    }
-
-    /// A reducer that emits only the candidate stream — for pipelines
-    /// whose similarity edges come from the in-memory bulk kernel instead
-    /// of the Job 2 partial-sum chain (no Job 0 means needed either).
-    pub fn candidates_only(group: Vec<UserId>) -> Self {
-        Self {
-            group,
-            means: HashMap::new(),
-            emit_partials: false,
-        }
+        Self { group, means }
     }
 
     fn is_member(&self, u: UserId) -> bool {
@@ -156,9 +140,6 @@ impl Reducer for Job1Reducer {
                     rating,
                 });
             }
-            return;
-        }
-        if !self.emit_partials {
             return;
         }
         // Partial similarity for every (member, non-member) rater pair.
@@ -455,20 +436,6 @@ mod tests {
             }
             _ => unreachable!(),
         }
-    }
-
-    #[test]
-    fn candidates_only_reducer_suppresses_partials() {
-        let input = vec![
-            triple(0, 0, 4.0),
-            triple(1, 0, 5.0),
-            triple(1, 1, 3.0),
-            triple(2, 1, 2.0),
-        ];
-        let reducer = Job1Reducer::candidates_only(vec![UserId::new(0)]);
-        let out = run_job(&Job1Mapper, &reducer, input, JobConfig::default()).output;
-        assert_eq!(out.len(), 2, "candidate passthrough only");
-        assert!(out.iter().all(|o| matches!(o, Job1Out::Candidate { .. })));
     }
 
     #[test]

@@ -40,9 +40,5 @@ pub use engine::{
     RetryPolicy,
 };
 pub use fault::{FaultGuard, FaultKind, FaultPlan, FaultRule, FaultSite};
-pub use pipeline::{
-    incremental_sim_edges, kernel_sim_edges, mapreduce_group_predictions,
-    sharded_distributed_sim_edges, sharded_sim_edges, EdgeProducer, MapReducePipelineReport,
-    PipelineConfig,
-};
+pub use pipeline::{mapreduce_group_predictions, MapReducePipelineReport, PipelineConfig};
 pub use warm::{distributed_warm, distributed_warm_with, warm_schedule, WarmReport, WarmTask};

@@ -18,79 +18,9 @@ use crate::jobs::{
 use fairrec_core::aggregate::{Aggregation, MissingPolicy};
 use fairrec_core::group::Group;
 use fairrec_core::predictions::GroupPredictions;
-use fairrec_similarity::{
-    BulkUserSimilarity, DeltaOutcome, PeerIndex, PeerSelector, RatingsSimilarity, ShardedPeerIndex,
-    ShardedRatingsSimilarity, SimScratch,
-};
-use fairrec_types::{
-    FairrecError, ItemId, Parallelism, RatingMatrix, RatingMatrixBuilder, RatingTriple, Relevance,
-    Result, ShardSpec, ShardedRatingMatrix, UserId,
-};
+use fairrec_similarity::{PeerIndex, PeerSelector};
+use fairrec_types::{FairrecError, ItemId, RatingTriple, Relevance, Result, UserId};
 use std::collections::HashMap;
-
-/// How the pipeline produces its `simU` edges (the output of Job 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EdgeProducer {
-    /// The paper's chain: Job 0 means → Job 1 partials → Job 2 sums the
-    /// partials in item order and applies δ. The default, because it is
-    /// the faithful distributed formulation whose per-stage metrics the
-    /// scaling experiments report.
-    #[default]
-    MapReduce,
-    /// The inverted-index one-vs-all kernel
-    /// ([`kernel_sim_edges`]): one in-memory bulk pass per member over
-    /// the item-major index, skipping Jobs 0 and 2 and Job 1's partial
-    /// stream entirely. Bitwise identical edges — Job 2 sums partials in
-    /// item order, exactly the kernel's accumulation order — at
-    /// co-rating-mass cost instead of a full pair shuffle.
-    BulkKernel,
-    /// The incremental ingestion path ([`incremental_sim_edges`]): the
-    /// relation minus its last `holdout` triples (canonical order) is
-    /// built and warmed up front, then the held-out triples stream in
-    /// one at a time through `RatingMatrix::insert_rating` +
-    /// [`PeerIndex::apply_delta`]. Edges are read off the maintained
-    /// index — **bitwise identical** to [`BulkKernel`](Self::BulkKernel)
-    /// by the delta contract, which is exactly what this variant is for:
-    /// proving, inside the distributed formulation, that a served index
-    /// kept fresh by deltas equals one rebuilt from scratch.
-    Incremental {
-        /// Trailing triples (canonical `(user, item)` order) ingested
-        /// incrementally; clamped to the relation size, so
-        /// `usize::MAX` replays the whole relation through the delta
-        /// path.
-        holdout: usize,
-    },
-    /// The sharded scale-out path ([`sharded_sim_edges`]): the matrix is
-    /// hash-partitioned into `num_shards` user shards, the peer lists
-    /// come off a
-    /// [`ShardedPeerIndex`] warmed
-    /// per shard pair, and the members' edges are read from their owning
-    /// shards — **bitwise identical** to
-    /// [`BulkKernel`](Self::BulkKernel) by the sharding contract. This
-    /// variant proves, inside the distributed formulation, that the
-    /// partitioned serving substrate equals the monolithic one.
-    Sharded {
-        /// Number of user shards (≥ 1).
-        num_shards: u32,
-    },
-    /// The distributable form of [`Sharded`](Self::Sharded)
-    /// ([`sharded_distributed_sim_edges`]): same partitioning, but the
-    /// shard-pair warm schedule is serialised as self-contained
-    /// [`WarmTask`](crate::warm::WarmTask) descriptors and executed
-    /// through the MapReduce engine
-    /// ([`distributed_warm`](crate::warm::distributed_warm)), with the
-    /// reduced lists installed via
-    /// [`ShardedPeerIndex::adopt_full_lists`] — **bitwise identical** to
-    /// [`Sharded`](Self::Sharded) (and hence to
-    /// [`BulkKernel`](Self::BulkKernel)) because δ rides the wire as its
-    /// exact bit pattern and the pair kernels are the same code. This
-    /// variant proves the warm itself is a shippable job, not an
-    /// in-process loop.
-    ShardedDistributed {
-        /// Number of user shards (≥ 1).
-        num_shards: u32,
-    },
-}
 
 /// Pipeline knobs; mirrors the in-memory configuration exactly so the two
 /// paths can be compared run-for-run.
@@ -109,8 +39,6 @@ pub struct PipelineConfig {
     pub missing: MissingPolicy,
     /// Engine execution knobs.
     pub job: JobConfig,
-    /// How the Definition-1 edges are produced.
-    pub edge_producer: EdgeProducer,
 }
 
 impl Default for PipelineConfig {
@@ -122,181 +50,8 @@ impl Default for PipelineConfig {
             aggregation: Aggregation::default(),
             missing: MissingPolicy::default(),
             job: JobConfig::default(),
-            edge_producer: EdgeProducer::default(),
         }
     }
-}
-
-/// Produces the group's Definition-1 similarity edges with the
-/// inverted-index bulk kernel: one [`BulkUserSimilarity`] pass per
-/// member, dropping in-group peers (Job 1 pairs members only with
-/// non-members) and edges below δ. The output set — members in input
-/// order, peers ascending — carries **bitwise** the same similarities as
-/// the Job 0 → 1 → 2 chain: Job 2 sorts each pair's partials by item
-/// before summing, which is exactly the kernel's ascending-item
-/// accumulation order.
-pub fn kernel_sim_edges(
-    matrix: &RatingMatrix,
-    members: &[UserId],
-    delta: f64,
-    min_overlap: usize,
-) -> Vec<SimEdge> {
-    let measure = RatingsSimilarity::new(matrix).with_min_overlap(min_overlap);
-    let mut scratch = SimScratch::new();
-    let mut candidates: Vec<(UserId, f64)> = Vec::new();
-    // Capacity guess: a member's edge count is bounded by the number of
-    // users sharing an item with them, itself bounded by co-rating mass.
-    let degrees = matrix.user_degrees();
-    let avg_degree = degrees.iter().map(|&d| d as usize).sum::<usize>() / degrees.len().max(1);
-    let mut edges = Vec::with_capacity(members.len() * avg_degree);
-    for &member in members {
-        candidates.clear();
-        measure.similarities_from(member, matrix.num_users(), &mut scratch, &mut candidates);
-        edges.extend(candidates.iter().filter_map(|&(peer, sim)| {
-            (sim >= delta && !members.contains(&peer)).then_some(SimEdge { member, peer, sim })
-        }));
-    }
-    edges
-}
-
-/// Produces the group's Definition-1 similarity edges by *incremental
-/// ingestion*: a base matrix holding all but the last `holdout` triples
-/// is built and fully warmed (symmetric bulk warm), then each held-out
-/// triple is inserted through the live-mutation path and the index is
-/// repaired with [`PeerIndex::apply_delta`]. The emitted edge set —
-/// every member's δ-qualifying, non-member peers off the maintained
-/// index — carries **bitwise** the same similarities as
-/// [`kernel_sim_edges`] over the final matrix: the base warm is exact by
-/// the bulk-kernel contract, and every delta is exact by the update-path
-/// contract (the base index is fully warm, so each insert's user holds
-/// a pre-change list).
-///
-/// `triples` must be duplicate-free and in canonical `(user, item)`
-/// order — the pipeline canonicalises before calling.
-///
-/// # Errors
-/// Propagates matrix build/insert failures (duplicate pairs).
-pub fn incremental_sim_edges(
-    triples: &[RatingTriple],
-    members: &[UserId],
-    delta: f64,
-    min_overlap: usize,
-    holdout: usize,
-) -> Result<Vec<SimEdge>> {
-    let split = triples.len().saturating_sub(holdout);
-    let (base, stream) = triples.split_at(split);
-    // Pre-size the id spaces to the *final* dimensions so the peer-index
-    // universe covers users who only appear in the held-out stream.
-    let num_users = triples.iter().map(|t| t.user.raw() + 1).max().unwrap_or(0);
-    let num_items = triples.iter().map(|t| t.item.raw() + 1).max().unwrap_or(0);
-    let mut builder =
-        RatingMatrixBuilder::with_capacity(triples.len()).reserve_ids(num_users, num_items);
-    for t in base {
-        builder.add(t.user, t.item, t.rating);
-    }
-    let mut matrix = builder.build()?;
-
-    // Full (uncapped) lists so every qualifying edge is emitted;
-    // downstream `PeerIndex::from_edges` applies the caller's cap, same
-    // as for the other producers.
-    let index = PeerIndex::new(PeerSelector::new(delta)?, num_users);
-    index.warm_symmetric(
-        &RatingsSimilarity::new(&matrix).with_min_overlap(min_overlap),
-        Parallelism::Sequential,
-    );
-    for t in stream {
-        matrix.insert_rating(t.user, t.item, t.rating)?;
-        let measure = RatingsSimilarity::new(&matrix).with_min_overlap(min_overlap);
-        let outcome = index.apply_delta(&measure, t.user);
-        debug_assert!(
-            matches!(outcome, DeltaOutcome::Spliced { .. }),
-            "a fully warm index must take the exact splice, got {outcome:?}"
-        );
-    }
-
-    let measure = RatingsSimilarity::new(&matrix).with_min_overlap(min_overlap);
-    let mut edges = Vec::new();
-    for &member in members {
-        let full = index.full_peers(&measure, member);
-        edges.extend(full.iter().filter_map(|&(peer, sim)| {
-            (!members.contains(&peer)).then_some(SimEdge { member, peer, sim })
-        }));
-    }
-    Ok(edges)
-}
-
-/// Produces the group's Definition-1 similarity edges from the **sharded
-/// serving substrate**: the matrix is hash-partitioned into `num_shards`
-/// user shards
-/// ([`ShardedRatingMatrix`]), a
-/// [`ShardedPeerIndex`] is warmed with the per-shard-pair symmetric
-/// kernel schedule, and each member's full list is read off its owning
-/// shard. By the sharding contract the emitted edges carry **bitwise**
-/// the same similarities as [`kernel_sim_edges`] over the unsharded
-/// matrix, for any shard count — asserted by this module's tests.
-///
-/// # Errors
-/// Propagates matrix partitioning failures and rejects `num_shards = 0`.
-pub fn sharded_sim_edges(
-    matrix: &RatingMatrix,
-    members: &[UserId],
-    delta: f64,
-    min_overlap: usize,
-    num_shards: u32,
-) -> Result<Vec<SimEdge>> {
-    let spec = ShardSpec::new(num_shards)?;
-    let sharded = ShardedRatingMatrix::from_matrix(matrix, spec)?;
-    let measure = ShardedRatingsSimilarity::new(&sharded).with_min_overlap(min_overlap);
-    let index = ShardedPeerIndex::new(PeerSelector::new(delta)?, spec, matrix.num_users());
-    index.warm_symmetric(&measure, Parallelism::Sequential);
-    let mut edges = Vec::new();
-    for &member in members {
-        let full = index.full_peers(&measure, member);
-        edges.extend(full.iter().filter_map(|&(peer, sim)| {
-            (!members.contains(&peer)).then_some(SimEdge { member, peer, sim })
-        }));
-    }
-    Ok(edges)
-}
-
-/// Produces the group's Definition-1 similarity edges like
-/// [`sharded_sim_edges`], except the shard-pair warm runs **as a
-/// MapReduce job**: the schedule is serialised into self-contained
-/// [`WarmTask`](crate::warm::WarmTask) descriptors, executed through
-/// [`run_job`] by [`distributed_warm`](crate::warm::distributed_warm),
-/// and the reduced lists are installed with
-/// [`ShardedPeerIndex::adopt_full_lists`]. Members' full lists are then
-/// read off their owning shards, **bitwise identical** to the in-process
-/// variant for any shard count — asserted by this module's tests.
-///
-/// # Errors
-/// Propagates matrix partitioning failures and rejects `num_shards = 0`.
-pub fn sharded_distributed_sim_edges(
-    matrix: &RatingMatrix,
-    members: &[UserId],
-    delta: f64,
-    min_overlap: usize,
-    num_shards: u32,
-    job: JobConfig,
-) -> Result<Vec<SimEdge>> {
-    let spec = ShardSpec::new(num_shards)?;
-    let sharded = ShardedRatingMatrix::from_matrix(matrix, spec)?;
-    let index = ShardedPeerIndex::new(PeerSelector::new(delta)?, spec, matrix.num_users());
-    let report = crate::warm::distributed_warm(&sharded, &index, min_overlap, job)?;
-    debug_assert_eq!(
-        report.installed,
-        Some(matrix.num_users() as usize),
-        "a freshly built index is fully cold; adoption must succeed"
-    );
-    let measure = ShardedRatingsSimilarity::new(&sharded).with_min_overlap(min_overlap);
-    let mut edges = Vec::new();
-    for &member in members {
-        let full = index.full_peers(&measure, member);
-        edges.extend(full.iter().filter_map(|&(peer, sim)| {
-            (!members.contains(&peer)).then_some(SimEdge { member, peer, sim })
-        }));
-    }
-    Ok(edges)
 }
 
 /// Metrics of each stage, for the scaling experiments (A4).
@@ -334,11 +89,12 @@ impl MapReducePipelineReport {
 /// identical to the in-memory reference.
 ///
 /// # Errors
-/// Returns [`FairrecError::DuplicateRating`] when the relation holds the
-/// same `(user, item)` pair twice — the workspace-wide invariant
-/// [`RatingMatrixBuilder`] enforces,
-/// applied here so every edge producer answers duplicate input
-/// identically. Group validation happens in [`Group`].
+/// Returns [`FairrecError::InvalidParameter`] (naming `num_items`) when
+/// a triple's item lies outside the item id space, and
+/// [`FairrecError::DuplicateRating`] when the relation holds the same
+/// `(user, item)` pair twice — the workspace-wide invariant
+/// [`RatingMatrixBuilder`](fairrec_types::RatingMatrixBuilder) enforces.
+/// Group validation happens in [`Group`].
 pub fn mapreduce_group_predictions(
     triples: Vec<RatingTriple>,
     num_items: u32,
@@ -349,21 +105,32 @@ pub fn mapreduce_group_predictions(
     let members: Vec<UserId> = group.members().to_vec();
     let n = members.len();
 
+    // Every item must index the exclusion set and appear in the
+    // assembled item list, so an item outside the id space is rejected
+    // before any job runs.
+    if let Some(t) = triples.iter().find(|t| t.item.raw() >= num_items) {
+        return Err(FairrecError::invalid_parameter(
+            "num_items",
+            format!(
+                "rating ({}, {}) lies outside the item id space of {num_items}",
+                t.user, t.item
+            ),
+        ));
+    }
+
     // Canonicalise the input order up front. Float summation is order-
     // sensitive in the last ulp, and Job 0 sums each user's ratings in
-    // input order while the in-memory reference (and the bulk kernel's
-    // `RatingMatrix`) sums in `(user, item)` order — sorting here makes
-    // the pipeline's bits independent of how the caller ordered the
-    // relation, so the MapReduce/BulkKernel/in-memory equality holds
-    // unconditionally rather than only for pre-sorted input.
+    // input order while the in-memory reference's `RatingMatrix` sums in
+    // `(user, item)` order — sorting here makes the pipeline's bits
+    // independent of how the caller ordered the relation, so the
+    // MapReduce/in-memory equality holds unconditionally rather than only
+    // for pre-sorted input.
     let mut triples = triples;
     triples.sort_unstable_by_key(|t| (t.user, t.item));
     // Duplicate pairs are invalid input everywhere in the workspace
     // (`RatingMatrixBuilder` rejects them because keeping one silently
-    // would make results depend on insertion order). Rejecting them here
-    // keeps the edge producers interchangeable: the kernel path would
-    // fail building its matrix while the job chain would silently sum
-    // both ratings.
+    // would make results depend on insertion order); the job chain would
+    // otherwise silently sum both ratings.
     for w in triples.windows(2) {
         if (w[0].user, w[0].item) == (w[1].user, w[1].item) {
             return Err(FairrecError::DuplicateRating {
@@ -384,92 +151,33 @@ pub fn mapreduce_group_predictions(
     }
 
     // ---- Jobs 0–2: the Definition-1 similarity edges ----------------------
-    let candidates: Vec<Job1Out>;
-    let sim_edges: Vec<SimEdge> = match config.edge_producer {
-        EdgeProducer::MapReduce => {
-            // Job 0: user means (side data for the Pearson partials).
-            let job0 = run_job(&MeansMapper, &MeansReducer, triples.clone(), config.job);
-            report.job0 = job0.metrics;
-            let means: HashMap<UserId, f64> = job0.output.into_iter().collect();
+    // Job 0: user means (side data for the Pearson partials).
+    let job0 = run_job(&MeansMapper, &MeansReducer, triples.clone(), config.job);
+    report.job0 = job0.metrics;
+    let means: HashMap<UserId, f64> = job0.output.into_iter().collect();
 
-            // Job 1: per-item grouping — candidates + partial similarities.
-            let job1 = run_job(
-                &Job1Mapper,
-                &Job1Reducer::new(members.clone(), means),
-                triples,
-                config.job,
-            );
-            report.job1 = job1.metrics;
-            let (candidate_stream, partials): (Vec<Job1Out>, Vec<Job1Out>) = job1
-                .output
-                .into_iter()
-                .partition(|o| matches!(o, Job1Out::Candidate { .. }));
-            candidates = candidate_stream;
+    // Job 1: per-item grouping — candidates + partial similarities.
+    let job1 = run_job(
+        &Job1Mapper,
+        &Job1Reducer::new(members.clone(), means),
+        triples,
+        config.job,
+    );
+    report.job1 = job1.metrics;
+    let (candidates, partials): (Vec<Job1Out>, Vec<Job1Out>) = job1
+        .output
+        .into_iter()
+        .partition(|o| matches!(o, Job1Out::Candidate { .. }));
 
-            // Job 2: finalise simU with threshold δ.
-            let job2 = run_job(
-                &Job2Mapper,
-                &Job2Reducer::new(config.delta, config.min_overlap),
-                partials,
-                config.job,
-            );
-            report.job2 = job2.metrics;
-            job2.output
-        }
-        producer @ (EdgeProducer::BulkKernel
-        | EdgeProducer::Incremental { .. }
-        | EdgeProducer::Sharded { .. }
-        | EdgeProducer::ShardedDistributed { .. }) => {
-            // The in-memory producers replace the Job 0/partial/Job 2
-            // chain; Job 1 runs candidates-only (the paper's grouping is
-            // still what classifies items).
-            // `RatingTriple` is `Copy`: read the relation by borrow so it
-            // is not cloned just because Job 1 consumes it afterwards.
-            let edges = match producer {
-                EdgeProducer::Incremental { holdout } => incremental_sim_edges(
-                    &triples,
-                    &members,
-                    config.delta,
-                    config.min_overlap,
-                    holdout,
-                )?,
-                EdgeProducer::Sharded { num_shards } => {
-                    let matrix = RatingMatrix::from_triples(triples.iter().copied())?;
-                    sharded_sim_edges(
-                        &matrix,
-                        &members,
-                        config.delta,
-                        config.min_overlap,
-                        num_shards,
-                    )?
-                }
-                EdgeProducer::ShardedDistributed { num_shards } => {
-                    let matrix = RatingMatrix::from_triples(triples.iter().copied())?;
-                    sharded_distributed_sim_edges(
-                        &matrix,
-                        &members,
-                        config.delta,
-                        config.min_overlap,
-                        num_shards,
-                        config.job,
-                    )?
-                }
-                _ => {
-                    let matrix = RatingMatrix::from_triples(triples.iter().copied())?;
-                    kernel_sim_edges(&matrix, &members, config.delta, config.min_overlap)
-                }
-            };
-            let job1 = run_job(
-                &Job1Mapper,
-                &Job1Reducer::candidates_only(members.clone()),
-                triples,
-                config.job,
-            );
-            report.job1 = job1.metrics;
-            candidates = job1.output;
-            edges
-        }
-    };
+    // Job 2: finalise simU with threshold δ.
+    let job2 = run_job(
+        &Job2Mapper,
+        &Job2Reducer::new(config.delta, config.min_overlap),
+        partials,
+        config.job,
+    );
+    report.job2 = job2.metrics;
+    let sim_edges: Vec<SimEdge> = job2.output;
     report.sim_edges = sim_edges.len();
 
     // Per-member peer tables, canonicalised (sort by sim desc, id asc;
@@ -487,11 +195,11 @@ pub fn mapreduce_group_predictions(
         &members,
         sim_edges.into_iter().map(|SimEdge { member, peer, sim }| {
             // `from_edges` quietly ignores edges for unlisted users; the
-            // paper's invariant is stronger — both producers pair members
-            // only — so a violation here is a job bug worth failing on.
+            // paper's invariant is stronger — Job 1 keys every partial by
+            // a member — so a violation here is a job bug worth failing on.
             debug_assert!(
                 members.binary_search(&member).is_ok(),
-                "edge producer emitted an edge for non-member {member}"
+                "Job 2 emitted an edge for non-member {member}"
             );
             (member, peer, sim)
         }),
@@ -560,7 +268,8 @@ pub fn mapreduce_group_predictions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairrec_types::{GroupId, Rating};
+    use fairrec_similarity::{BulkUserSimilarity, RatingsSimilarity, SimScratch};
+    use fairrec_types::{GroupId, Rating, RatingMatrix};
 
     fn triple(u: u32, i: u32, r: f64) -> RatingTriple {
         RatingTriple {
@@ -647,7 +356,7 @@ mod tests {
     fn bulk_kernel_edges_match_job2_bitwise() {
         let members = vec![UserId::new(0), UserId::new(1)];
         let triples = fixture();
-        // Reference: the Job 0 → 1 → 2 chain.
+        // The Job 0 → 1 → 2 chain.
         let job0 = run_job(
             &MeansMapper,
             &MeansReducer,
@@ -675,217 +384,54 @@ mod tests {
         .output;
         mapreduce.sort_by_key(|e| (e.member, e.peer));
 
+        // Oracle: the in-memory bulk kernel, one pass per member, minus
+        // in-group peers and edges below δ = -1. Job 2 sums each pair's partials in item order,
+        // which is exactly the kernel's accumulation order.
         let matrix = RatingMatrix::from_triples(triples).unwrap();
-        let mut kernel = kernel_sim_edges(&matrix, &members, -1.0, 2);
-        kernel.sort_by_key(|e| (e.member, e.peer));
+        let measure = RatingsSimilarity::new(&matrix).with_min_overlap(2);
+        let mut scratch = SimScratch::new();
+        let mut kernel = Vec::new();
+        for &member in &members {
+            let mut row = Vec::new();
+            measure.similarities_from(member, matrix.num_users(), &mut scratch, &mut row);
+            kernel.extend(
+                row.into_iter()
+                    .filter(|(peer, sim)| *sim >= -1.0 && !members.contains(peer))
+                    .map(|(peer, sim)| (member, peer, sim)),
+            );
+        }
+        kernel.sort_by_key(|&(member, peer, _)| (member, peer));
 
         assert_eq!(mapreduce.len(), kernel.len());
-        for (a, b) in mapreduce.iter().zip(&kernel) {
-            assert_eq!((a.member, a.peer), (b.member, b.peer));
+        for (a, &(member, peer, sim)) in mapreduce.iter().zip(&kernel) {
+            assert_eq!((a.member, a.peer), (member, peer));
             assert_eq!(
                 a.sim.to_bits(),
-                b.sim.to_bits(),
-                "edge ({}, {}) must carry identical bits",
-                a.member,
-                a.peer
+                sim.to_bits(),
+                "edge ({member}, {peer}) must carry identical bits"
             );
-        }
-    }
-
-    #[test]
-    fn edge_producers_agree_end_to_end() {
-        let group = Group::new(GroupId::new(0), [UserId::new(0), UserId::new(1)]).unwrap();
-        for delta in [-1.0, 0.0, 0.5] {
-            let base = PipelineConfig {
-                delta,
-                ..Default::default()
-            };
-            let bulk = PipelineConfig {
-                edge_producer: EdgeProducer::BulkKernel,
-                ..base
-            };
-            let (a, ra) = mapreduce_group_predictions(fixture(), 7, &group, &base).unwrap();
-            let (b, rb) = mapreduce_group_predictions(fixture(), 7, &group, &bulk).unwrap();
-            assert_eq!(a, b, "delta {delta}: the two producers must agree exactly");
-            assert_eq!(ra.sim_edges, rb.sim_edges);
-            // The kernel path skips Jobs 0 and 2 entirely.
-            assert_eq!(rb.job0.map_input_records, 0);
-            assert_eq!(rb.job2.map_input_records, 0);
-            assert_eq!(rb.job1.map_input_records, ra.job1.map_input_records);
-        }
-    }
-
-    #[test]
-    fn incremental_edges_match_bulk_kernel_bitwise() {
-        let members = vec![UserId::new(0), UserId::new(1)];
-        let mut triples = fixture();
-        triples.sort_unstable_by_key(|t| (t.user, t.item));
-        let matrix = RatingMatrix::from_triples(triples.iter().copied()).unwrap();
-        let mut kernel = kernel_sim_edges(&matrix, &members, -1.0, 2);
-        kernel.sort_by_key(|e| (e.member, e.peer));
-        // Holdouts from "nothing incremental" to "the whole relation
-        // replayed through insert_rating + apply_delta".
-        for holdout in [0usize, 1, 4, usize::MAX] {
-            let mut incremental =
-                incremental_sim_edges(&triples, &members, -1.0, 2, holdout).unwrap();
-            incremental.sort_by_key(|e| (e.member, e.peer));
-            assert_eq!(kernel.len(), incremental.len(), "holdout {holdout}");
-            for (a, b) in kernel.iter().zip(&incremental) {
-                assert_eq!((a.member, a.peer), (b.member, b.peer), "holdout {holdout}");
-                assert_eq!(
-                    a.sim.to_bits(),
-                    b.sim.to_bits(),
-                    "holdout {holdout}: edge ({}, {}) must carry identical bits",
-                    a.member,
-                    a.peer
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_producer_agrees_end_to_end() {
-        let group = Group::new(GroupId::new(0), [UserId::new(0), UserId::new(1)]).unwrap();
-        for (delta, holdout) in [(-1.0, 3), (0.0, usize::MAX), (0.5, 1)] {
-            let bulk = PipelineConfig {
-                delta,
-                edge_producer: EdgeProducer::BulkKernel,
-                ..Default::default()
-            };
-            let incremental = PipelineConfig {
-                edge_producer: EdgeProducer::Incremental { holdout },
-                ..bulk
-            };
-            let (a, ra) = mapreduce_group_predictions(fixture(), 7, &group, &bulk).unwrap();
-            let (b, rb) = mapreduce_group_predictions(fixture(), 7, &group, &incremental).unwrap();
-            assert_eq!(a, b, "delta {delta}, holdout {holdout}");
-            assert_eq!(ra.sim_edges, rb.sim_edges);
-        }
-    }
-
-    #[test]
-    fn sharded_edges_match_bulk_kernel_bitwise() {
-        let members = vec![UserId::new(0), UserId::new(1)];
-        let mut triples = fixture();
-        triples.sort_unstable_by_key(|t| (t.user, t.item));
-        let matrix = RatingMatrix::from_triples(triples.iter().copied()).unwrap();
-        let mut kernel = kernel_sim_edges(&matrix, &members, -1.0, 2);
-        kernel.sort_by_key(|e| (e.member, e.peer));
-        for num_shards in [1u32, 2, 3, 8] {
-            let mut sharded = sharded_sim_edges(&matrix, &members, -1.0, 2, num_shards).unwrap();
-            sharded.sort_by_key(|e| (e.member, e.peer));
-            let mut distributed = sharded_distributed_sim_edges(
-                &matrix,
-                &members,
-                -1.0,
-                2,
-                num_shards,
-                JobConfig::default(),
-            )
-            .unwrap();
-            distributed.sort_by_key(|e| (e.member, e.peer));
-            assert_eq!(kernel.len(), sharded.len(), "S={num_shards}");
-            assert_eq!(
-                kernel.len(),
-                distributed.len(),
-                "S={num_shards} distributed"
-            );
-            for ((a, b), c) in kernel.iter().zip(&sharded).zip(&distributed) {
-                assert_eq!((a.member, a.peer), (b.member, b.peer), "S={num_shards}");
-                assert_eq!(
-                    a.sim.to_bits(),
-                    b.sim.to_bits(),
-                    "S={num_shards}: edge ({}, {}) must carry identical bits",
-                    a.member,
-                    a.peer
-                );
-                assert_eq!((a.member, a.peer), (c.member, c.peer), "S={num_shards}");
-                assert_eq!(
-                    a.sim.to_bits(),
-                    c.sim.to_bits(),
-                    "S={num_shards}: distributed-warm edge ({}, {}) must carry identical bits",
-                    a.member,
-                    a.peer
-                );
-            }
-        }
-        assert!(sharded_sim_edges(&matrix, &members, -1.0, 2, 0).is_err());
-        assert!(
-            sharded_distributed_sim_edges(&matrix, &members, -1.0, 2, 0, JobConfig::default())
-                .is_err()
-        );
-    }
-
-    #[test]
-    fn sharded_producer_agrees_end_to_end() {
-        let group = Group::new(GroupId::new(0), [UserId::new(0), UserId::new(1)]).unwrap();
-        for (delta, num_shards) in [(-1.0, 1), (-1.0, 3), (0.0, 2), (0.5, 8)] {
-            let bulk = PipelineConfig {
-                delta,
-                edge_producer: EdgeProducer::BulkKernel,
-                ..Default::default()
-            };
-            let sharded = PipelineConfig {
-                edge_producer: EdgeProducer::Sharded { num_shards },
-                ..bulk
-            };
-            let (a, ra) = mapreduce_group_predictions(fixture(), 7, &group, &bulk).unwrap();
-            let (b, rb) = mapreduce_group_predictions(fixture(), 7, &group, &sharded).unwrap();
-            assert_eq!(a, b, "delta {delta}, shards {num_shards}");
-            assert_eq!(ra.sim_edges, rb.sim_edges);
-        }
-    }
-
-    #[test]
-    fn sharded_distributed_producer_agrees_end_to_end() {
-        // The warm runs as serialised MapReduce tasks here; the final
-        // predictions must still be bitwise the in-process sharded (and
-        // bulk-kernel) result, across shard and worker counts.
-        let group = Group::new(GroupId::new(0), [UserId::new(0), UserId::new(1)]).unwrap();
-        for (delta, num_shards, workers) in [(-1.0, 1, 1), (-1.0, 3, 4), (0.0, 2, 2), (0.5, 8, 4)] {
-            let base = PipelineConfig {
-                delta,
-                job: JobConfig::with_workers(workers),
-                ..Default::default()
-            };
-            let sharded = PipelineConfig {
-                edge_producer: EdgeProducer::Sharded { num_shards },
-                ..base
-            };
-            let distributed = PipelineConfig {
-                edge_producer: EdgeProducer::ShardedDistributed { num_shards },
-                ..base
-            };
-            let (a, ra) = mapreduce_group_predictions(fixture(), 7, &group, &sharded).unwrap();
-            let (b, rb) = mapreduce_group_predictions(fixture(), 7, &group, &distributed).unwrap();
-            assert_eq!(a, b, "delta {delta}, shards {num_shards}");
-            assert_eq!(ra.sim_edges, rb.sim_edges);
         }
     }
 
     #[test]
     fn duplicate_pairs_are_rejected_by_both_producers() {
+        // The Job chain answers duplicate input exactly as the in-memory
+        // reference's matrix build does.
         let group = Group::new(GroupId::new(0), [UserId::new(0)]).unwrap();
         let mut dup = fixture();
         dup.push(triple(2, 2, 1.0)); // (u2, i2) already present
-        for edge_producer in [
-            EdgeProducer::MapReduce,
-            EdgeProducer::BulkKernel,
-            EdgeProducer::Incremental { holdout: 2 },
-            EdgeProducer::Sharded { num_shards: 3 },
-            EdgeProducer::ShardedDistributed { num_shards: 3 },
-        ] {
-            let cfg = PipelineConfig {
-                edge_producer,
-                ..Default::default()
-            };
-            match mapreduce_group_predictions(dup.clone(), 7, &group, &cfg) {
-                Err(fairrec_types::FairrecError::DuplicateRating { user, item }) => {
-                    assert_eq!(user, UserId::new(2));
-                    assert_eq!(item, ItemId::new(2));
-                }
-                other => panic!("{edge_producer:?}: expected DuplicateRating, got {other:?}"),
+        let expected = (UserId::new(2), ItemId::new(2));
+        match RatingMatrix::from_triples(dup.iter().copied()) {
+            Err(FairrecError::DuplicateRating { user, item }) => {
+                assert_eq!((user, item), expected);
             }
+            other => panic!("in-memory: expected DuplicateRating, got {other:?}"),
+        }
+        match mapreduce_group_predictions(dup, 7, &group, &PipelineConfig::default()) {
+            Err(FairrecError::DuplicateRating { user, item }) => {
+                assert_eq!((user, item), expected);
+            }
+            other => panic!("Job chain: expected DuplicateRating, got {other:?}"),
         }
     }
 
@@ -893,20 +439,35 @@ mod tests {
     fn input_order_does_not_change_results() {
         // Float sums are order-sensitive in the last ulp; the pipeline
         // canonicalises the relation up front, so a reversed (or any)
-        // input order must produce identical bits from both producers.
+        // input order must produce identical bits.
         let group = Group::new(GroupId::new(0), [UserId::new(0), UserId::new(1)]).unwrap();
         let mut reversed = fixture();
         reversed.reverse();
-        for edge_producer in [EdgeProducer::MapReduce, EdgeProducer::BulkKernel] {
-            let cfg = PipelineConfig {
-                delta: -1.0,
-                edge_producer,
-                ..Default::default()
-            };
-            let (sorted, _) = mapreduce_group_predictions(fixture(), 7, &group, &cfg).unwrap();
-            let (shuffled, _) =
-                mapreduce_group_predictions(reversed.clone(), 7, &group, &cfg).unwrap();
-            assert_eq!(sorted, shuffled, "{edge_producer:?}");
+        let cfg = PipelineConfig {
+            delta: -1.0,
+            ..Default::default()
+        };
+        let (sorted, _) = mapreduce_group_predictions(fixture(), 7, &group, &cfg).unwrap();
+        let (shuffled, _) = mapreduce_group_predictions(reversed, 7, &group, &cfg).unwrap();
+        assert_eq!(sorted, shuffled);
+    }
+
+    #[test]
+    fn items_outside_the_id_space_are_rejected() {
+        let group = Group::new(GroupId::new(0), [UserId::new(0), UserId::new(1)]).unwrap();
+        // A member's out-of-range rating would index past the exclusion
+        // set and a non-member's would drop out of the item list: both
+        // get a typed error naming `num_items`, ahead of the duplicate.
+        for (who, rater) in [("member", 0), ("non-member", 3)] {
+            let mut triples = fixture();
+            triples.push(triple(rater, 9, 4.0));
+            triples.push(triple(2, 2, 1.0)); // duplicate: must not win
+            match mapreduce_group_predictions(triples, 7, &group, &PipelineConfig::default()) {
+                Err(FairrecError::InvalidParameter { name, .. }) => {
+                    assert_eq!(name, "num_items", "{who}");
+                }
+                other => panic!("{who}: expected InvalidParameter, got {other:?}"),
+            }
         }
     }
 

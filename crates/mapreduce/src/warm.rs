@@ -15,10 +15,9 @@
 //! [`ShardedPeerIndex::adopt_full_lists`] — the index's off-process
 //! adoption path. δ travels as the exact IEEE-754 bit pattern, so a
 //! descriptor round-trip is bitwise lossless and the distributed warm is
-//! **bitwise identical** to the in-process one (asserted by this
-//! module's tests for S ∈ {1, 2, 3, 8} and by the pipeline's
-//! [`EdgeProducer::ShardedDistributed`](crate::pipeline::EdgeProducer)
-//! equality tests end-to-end).
+//! **bitwise identical** to the in-process one and to the monolithic
+//! warm (asserted by this module's tests for S ∈ {1, 2, 3, 8} and, under
+//! injected faults, by the chaos suite).
 
 use crate::engine::{try_run_job, JobConfig, JobMetrics, Mapper, Reducer, RetryPolicy};
 use crate::fault::{self, FaultAction, FaultSite};
@@ -365,6 +364,8 @@ mod tests {
     use super::*;
     use fairrec_similarity::{PeerIndex, ShardedRatingsSimilarity};
     use fairrec_types::{ItemId, Parallelism, Rating, RatingMatrix, RatingTriple, ShardSpec};
+    use proptest::prelude::*;
+    use proptest::sample::select;
 
     fn triple(u: u32, i: u32, r: f64) -> RatingTriple {
         RatingTriple {
@@ -388,6 +389,20 @@ mod tests {
             }
         }
         triples
+    }
+
+    /// Ids equal and similarities equal bit for bit: `==` on `f64` would
+    /// let `-0.0` stand in for `0.0`.
+    fn assert_bitwise(got: &Peers, want: &Peers, label: &str) {
+        assert_eq!(got.len(), want.len(), "{label}: peer-list length");
+        for (pos, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.0, w.0, "{label}: peer id at {pos}");
+            assert_eq!(
+                g.1.to_bits(),
+                w.1.to_bits(),
+                "{label}: similarity bits at {pos}"
+            );
+        }
     }
 
     #[test]
@@ -424,6 +439,85 @@ mod tests {
             "warm 0 1 2 3 0 extra",
         ] {
             assert!(WarmTask::decode(line).is_err(), "{line:?}");
+        }
+    }
+
+    /// A token that is mostly malformed: a hand-picked edge case
+    /// (overflow, sign, non-numeric, non-hex, oversized hex, empty) or a
+    /// generated run of signs, digits, hex letters and `x`.
+    fn junk() -> impl Strategy<Value = String> {
+        (
+            0u8..2,
+            select(vec![
+                "",
+                "4294967296",
+                "-1",
+                "-0",
+                "x",
+                "1e3",
+                "0x10",
+                "zz",
+                "10000000000000000",
+                "warm",
+            ]),
+            "(-|\\+)?(0|1|9|a|f|x)+",
+        )
+            .prop_map(|(pick, fixed, generated)| {
+                if pick == 0 {
+                    fixed.to_owned()
+                } else {
+                    generated
+                }
+            })
+    }
+
+    /// A descriptor field: well formed seven times in eight, junk
+    /// otherwise, so generated lines decode often enough to exercise the
+    /// round trip.
+    fn field<S: Strategy<Value = String>>(valid: S) -> impl Strategy<Value = String> {
+        (0u8..8, valid, junk()).prop_map(|(pick, ok, bad)| if pick < 7 { ok } else { bad })
+    }
+
+    fn u32_field() -> impl Strategy<Value = String> {
+        field((0u32..=u32::MAX).prop_map(|v| v.to_string()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn decode_never_panics_and_ok_round_trips(
+            tag in select(vec!["warm", "warm", "warm", "cold", "", "Warm"]),
+            shards in (u32_field(), u32_field()),
+            rest in (
+                u32_field(),
+                u32_field(),
+                field((0u64..=u64::MAX).prop_map(|bits| format!("{bits:x}"))),
+            ),
+            keep in select(vec![0usize, 1, 2, 3, 4, 5, 5, 5, 5]),
+            extra in proptest::collection::vec(junk(), 0..3),
+            sep in "( |\t)+",
+        ) {
+            let mut line = tag.to_owned();
+            let fields = [shards.0, shards.1, rest.0, rest.1, rest.2];
+            for token in fields[..keep].iter().chain(&extra) {
+                line.push_str(&sep);
+                line.push_str(token);
+            }
+            match WarmTask::decode(&line) {
+                Ok(task) => {
+                    let again = WarmTask::decode(&task.encode());
+                    prop_assert!(again.is_ok(), "{line:?}: re-encoded form must decode");
+                    let again = again.unwrap();
+                    prop_assert_eq!(
+                        (again.shard_a, again.shard_b, again.num_users, again.min_overlap),
+                        (task.shard_a, task.shard_b, task.num_users, task.min_overlap),
+                        "{:?}", line
+                    );
+                    prop_assert_eq!(again.delta.to_bits(), task.delta.to_bits(), "{:?}", line);
+                }
+                Err(FairrecError::Parse { .. }) => {}
+                Err(other) => prop_assert!(false, "{line:?}: expected Parse, got {other:?}"),
+            }
         }
     }
 
@@ -475,15 +569,15 @@ mod tests {
 
             for u in (0..n).map(UserId::new) {
                 let distributed = off_process.cached_full(u).expect("warmed");
-                assert_eq!(
-                    distributed,
-                    in_process.cached_full(u).expect("warmed"),
-                    "S={num_shards}: user {u} vs in-process warm"
+                assert_bitwise(
+                    &distributed,
+                    &in_process.cached_full(u).expect("warmed"),
+                    &format!("S={num_shards}: user {u} vs in-process warm"),
                 );
-                assert_eq!(
-                    distributed,
-                    reference.cached_full(u).expect("warmed"),
-                    "S={num_shards}: user {u} vs monolithic warm"
+                assert_bitwise(
+                    &distributed,
+                    &reference.cached_full(u).expect("warmed"),
+                    &format!("S={num_shards}: user {u} vs monolithic warm"),
                 );
             }
         }

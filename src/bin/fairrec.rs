@@ -16,6 +16,7 @@
 //! `documents.tsv` into DIR; the other commands read them back.
 
 use fairrec::data::{documents, tsv, SyntheticConfig, SyntheticDataset};
+use fairrec::mapreduce::{mapreduce_group_predictions, JobConfig, PipelineConfig};
 use fairrec::ontology::codec;
 use fairrec::prelude::*;
 use fairrec::search::{CurationStatus, DocumentStore, QueryMode, SearchIndex, StoredDocument};
@@ -236,12 +237,16 @@ fn cmd_recommend(args: &[String]) -> Result<(), CliError> {
         "min" => Aggregation::Min,
         other => return Err(format!("unknown aggregation {other:?}").into()),
     };
-    let execution = match flags.0.get("mapreduce") {
-        Some(raw) => ExecutionPath::MapReduce(fairrec::mapreduce::JobConfig::with_workers(
-            raw.parse().map_err(|e| format!("bad --mapreduce: {e}"))?,
-        )),
-        None => ExecutionPath::InMemory,
-    };
+    let mapreduce_workers: Option<usize> = flags
+        .0
+        .get("mapreduce")
+        .map(|raw| raw.parse())
+        .transpose()
+        .map_err(|e| format!("bad --mapreduce: {e}"))?;
+    if mapreduce_workers.is_some() && !matches!(similarity, SimilarityKind::Ratings) {
+        let msg = "--mapreduce computes ratings similarity only; use --similarity ratings";
+        return Err(msg.into());
+    }
 
     let engine = RecommenderEngine::new(
         data.matrix,
@@ -251,14 +256,34 @@ fn cmd_recommend(args: &[String]) -> Result<(), CliError> {
             similarity,
             algorithm,
             aggregation,
-            execution,
             delta: flags.get("delta", 0.0f64)?,
             k: flags.get("k", 10usize)?,
             ..Default::default()
         },
     )?;
     let group = Group::new(GroupId::new(0), members)?;
-    let rec = engine.recommend_for_group(&group, z)?;
+    let rec = match mapreduce_workers {
+        // The paper's §IV Job 0→1→2→3 chain computes the predictions;
+        // the engine selects from them exactly as it does in memory.
+        Some(workers) => {
+            let config = engine.config();
+            let (predictions, _report) = mapreduce_group_predictions(
+                engine.ratings().to_triples(),
+                engine.ratings().num_items(),
+                &group,
+                &PipelineConfig {
+                    delta: config.delta,
+                    min_overlap: config.min_overlap,
+                    max_peers: config.max_peers,
+                    aggregation: config.aggregation,
+                    missing: config.missing,
+                    job: JobConfig::with_workers(workers),
+                },
+            )?;
+            engine.recommend_from_predictions(&group, &predictions, z)?
+        }
+        None => engine.recommend_for_group(&group, z)?,
+    };
 
     println!(
         "package for {:?} (fairness {:.2}, value {:.2}, pool m = {}):",

@@ -69,10 +69,13 @@
 //! * **Build once.** [`RecommenderEngine::new`](engine::RecommenderEngine::new) constructs the
 //!   configured similarity backend over `Arc`s of the engine's data and
 //!   attaches one [`PeerIndex`](similarity::PeerIndex); nothing is
-//!   rebuilt per request. The MapReduce path feeds its Job 2 similarity
-//!   edges through the same index (`PeerIndex::from_edges`), so
-//!   Definition 1 semantics — canonical ordering, group masking, peer
-//!   caps — live in exactly one place.
+//!   rebuilt per request. The MapReduce pipeline
+//!   ([`mapreduce_group_predictions`](mapreduce::mapreduce_group_predictions))
+//!   feeds its Job 2 similarity edges through the same index type
+//!   (`PeerIndex::from_edges`), so Definition 1 semantics — canonical
+//!   ordering, group masking, peer caps — live in exactly one place, and
+//!   its predictions reach the engine's one selection path through
+//!   `RecommenderEngine::recommend_from_predictions`.
 //! * **Cold fills take the bulk kernel.** Peer-list computation routes
 //!   through [`BulkUserSimilarity`](similarity::BulkUserSimilarity), the
 //!   one-vs-all form of `simU`: `RatingsSimilarity` generates candidates
@@ -130,8 +133,7 @@ pub mod prelude {
     };
     pub use fairrec_data::{SyntheticConfig, SyntheticDataset};
     pub use fairrec_engine::{
-        EngineConfig, ExecutionPath, GroupRecommendation, RecommenderEngine, SelectionAlgorithm,
-        SimilarityKind,
+        EngineConfig, GroupRecommendation, RecommenderEngine, SelectionAlgorithm, SimilarityKind,
     };
     pub use fairrec_ontology::{Ontology, PathScoring};
     pub use fairrec_phr::{Gender, PatientProfile, PhrStore};

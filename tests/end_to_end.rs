@@ -1,6 +1,7 @@
 //! End-to-end integration: dataset → engine → recommendation → report.
 
 use fairrec::engine::{Server, ServerConfig};
+use fairrec::mapreduce::{mapreduce_group_predictions, PipelineConfig};
 use fairrec::prelude::*;
 use fairrec::types::Deadline;
 
@@ -172,6 +173,36 @@ fn exact_and_swap_configurations_run_end_to_end() {
 }
 
 #[test]
+fn mapreduce_predictions_for_an_unknown_member_are_rejected() {
+    // The pipeline scores any id it is handed (an unknown member simply
+    // has no ratings); serving its predictions must still reject the
+    // group exactly as the in-memory path does.
+    let (engine, data) = engine_with(EngineConfig::default(), 49);
+    let unknown = UserId::new(engine.ratings().num_users());
+    let mut members = data.sample_group(2, None, 4);
+    members.push(unknown);
+    let group = Group::new(GroupId::new(0), members).unwrap();
+    let (predictions, _) = mapreduce_group_predictions(
+        engine.ratings().to_triples(),
+        engine.ratings().num_items(),
+        &group,
+        &PipelineConfig::default(),
+    )
+    .unwrap();
+    for err in [
+        engine
+            .recommend_from_predictions(&group, &predictions, 4)
+            .unwrap_err(),
+        engine.recommend_for_group(&group, 4).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, FairrecError::UnknownUser { user } if user == unknown),
+            "got: {err:?}"
+        );
+    }
+}
+
+#[test]
 fn oversized_group_is_rejected_cleanly() {
     // Sparse ratings so a 65-member group still leaves a scored candidate
     // pool — the rejection must come from the 64-member fairness-mask
@@ -214,6 +245,11 @@ fn oversized_group_is_rejected_cleanly() {
         .recommend_batch(std::slice::from_ref(&group), 70)
         .unwrap_err();
     assert!(named_64(&err), "recommend_batch got: {err:?}");
+    let predictions = engine.predictions_for(&group).unwrap();
+    let err = engine
+        .recommend_from_predictions(&group, &predictions, 70)
+        .unwrap_err();
+    assert!(named_64(&err), "recommend_from_predictions got: {err:?}");
     let outcomes = engine.recommend_requests(&[(group.clone(), 70)]);
     assert_eq!(outcomes.len(), 1);
     let err = outcomes[0].as_ref().unwrap_err();

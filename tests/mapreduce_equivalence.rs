@@ -5,7 +5,7 @@
 use fairrec::core::aggregate::{Aggregation, MissingPolicy};
 use fairrec::core::predictions::{compute_group_predictions, GroupPredictionConfig};
 use fairrec::core::Group;
-use fairrec::mapreduce::{mapreduce_group_predictions, EdgeProducer, JobConfig, PipelineConfig};
+use fairrec::mapreduce::{mapreduce_group_predictions, JobConfig, PipelineConfig};
 use fairrec::prelude::*;
 use fairrec::types::Parallelism;
 
@@ -59,37 +59,28 @@ fn compare(
     )
     .unwrap();
 
-    // Every edge producer — the paper's Job 0→1→2 chain, the
-    // inverted-index bulk kernel, and the incremental delta-maintained
-    // index — must reproduce the in-memory reference exactly.
-    for edge_producer in [
-        EdgeProducer::MapReduce,
-        EdgeProducer::BulkKernel,
-        EdgeProducer::Incremental { holdout: 41 },
-    ] {
-        let (pipeline, report) = mapreduce_group_predictions(
-            data.matrix.to_triples(),
-            data.matrix.num_items(),
-            &group,
-            &PipelineConfig {
-                delta,
-                min_overlap: 2,
-                max_peers,
-                aggregation,
-                missing,
-                job,
-                edge_producer,
-            },
-        )
-        .unwrap();
+    // The paper's Job 0→1→2→3 chain must reproduce the in-memory
+    // reference exactly.
+    let (pipeline, report) = mapreduce_group_predictions(
+        data.matrix.to_triples(),
+        data.matrix.num_items(),
+        &group,
+        &PipelineConfig {
+            delta,
+            min_overlap: 2,
+            max_peers,
+            aggregation,
+            missing,
+            job,
+        },
+    )
+    .unwrap();
 
-        assert_eq!(
-            reference, pipeline,
-            "mismatch at δ={delta}, cap={max_peers:?}, {aggregation:?}, {missing:?}, \
-             {edge_producer:?}"
-        );
-        assert!(report.job1.map_input_records == data.matrix.num_ratings());
-    }
+    assert_eq!(
+        reference, pipeline,
+        "mismatch at δ={delta}, cap={max_peers:?}, {aggregation:?}, {missing:?}"
+    );
+    assert!(report.job1.map_input_records == data.matrix.num_ratings());
 }
 
 #[test]
