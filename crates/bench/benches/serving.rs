@@ -20,12 +20,12 @@ use fairrec_core::group::Group;
 use fairrec_data::{SyntheticConfig, SyntheticDataset};
 use fairrec_engine::{EngineConfig, IngestPolicy, RecommenderEngine, Server, ServerConfig};
 use fairrec_ontology::snomed::clinical_fragment;
-use fairrec_similarity::{PeerIndex, PeerSelector, Peers, RatingsSimilarity};
+use fairrec_similarity::{PeerIndex, PeerSelector, RatingsSimilarity};
 use fairrec_types::{Deadline, GroupId, ItemId, Parallelism, UserId};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const NUM_GROUPS: u32 = 64;
@@ -225,17 +225,12 @@ fn bench_load_replay(c: &mut Criterion) {
     }
 }
 
-/// Group-read latency under a concurrent full warm: the
-/// epoch-published [`PeerIndex`] (one pin amortised over the group via
-/// `cached_full_bulk`) against a bench-local replica of the pre-epoch
-/// design — one `RwLock<Option<Arc<Peers>>>` per slot, which can only
-/// serve a group by taking one reader lock *per member*. Both sides
-/// run the identical churn loop (blanket invalidation + full symmetric
-/// kernel warm, repeated) while reader threads time group-shaped
-/// snapshot reads over the hot members of the coalescing workload
-/// above; the p50/p95 rows land as scalars and
-/// `warm_under_load_epoch_vs_locked` freezes the p95 ratio — the
-/// serve-through-warms claim — into the trajectory file.
+/// Group-read latency under a concurrent full warm: reader threads time
+/// group-shaped snapshot reads (one `cached_full` slot load per member)
+/// over the hot members of the coalescing workload above, while a writer
+/// loops a blanket invalidation plus a full symmetric kernel warm of the
+/// same [`PeerIndex`]. The p50/p95 rows land as scalars — the
+/// serve-through-warms claim in numbers.
 fn bench_warm_under_load(c: &mut Criterion) {
     let _ = c; // same signature as the timing benches; measures by hand
     const READERS: usize = 4;
@@ -264,105 +259,52 @@ fn bench_warm_under_load(c: &mut Criterion) {
     let measure = RatingsSimilarity::new(Arc::new(data.matrix));
     let selector = PeerSelector::new(0.0).expect("finite δ");
 
-    // Shared reader harness: time every group read while `done` is clear.
-    type GroupLoad<'a> = dyn Fn(&[UserId]) -> Vec<Option<Arc<Peers>>> + Sync + 'a;
-    let run_readers = |load: &GroupLoad<'_>, done: &AtomicBool| {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..READERS)
-                .map(|r| {
-                    scope.spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(0x9E37 + r as u64);
-                        let mut latencies = Vec::with_capacity(1 << 20);
-                        let started = Instant::now();
-                        while started.elapsed() < WINDOW {
-                            let group: [UserId; GROUP] =
-                                std::array::from_fn(|_| UserId::new(rng.gen_range(0..HOT_USERS)));
-                            let t0 = Instant::now();
-                            black_box(load(&group));
-                            latencies.push(t0.elapsed().as_nanos() as u64);
-                        }
-                        latencies
-                    })
-                })
-                .collect();
-            let mut all: Vec<u64> = handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("reader panicked"))
-                .collect();
-            done.store(true, Ordering::Release);
-            all.sort_unstable();
-            all
-        })
-    };
-
-    // Epoch side: the real index, churned through its own public surface.
     let index = PeerIndex::new(selector, num_users);
     index.warm_symmetric(&measure, Parallelism::Threads(WARM_THREADS));
     let done = AtomicBool::new(false);
-    let epoch = std::thread::scope(|scope| {
+    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
         scope.spawn(|| {
             while !done.load(Ordering::Acquire) {
                 index.invalidate_all();
                 index.warm_symmetric(&measure, Parallelism::Threads(WARM_THREADS));
             }
         });
-        run_readers(&|group| index.cached_full_bulk(group), &done)
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let index = &index;
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x9E37 + r as u64);
+                    let mut latencies = Vec::with_capacity(1 << 20);
+                    let started = Instant::now();
+                    while started.elapsed() < WINDOW {
+                        let group: [UserId; GROUP] =
+                            std::array::from_fn(|_| UserId::new(rng.gen_range(0..HOT_USERS)));
+                        let t0 = Instant::now();
+                        black_box(group.map(|u| index.cached_full(u)));
+                        latencies.push(t0.elapsed().as_nanos() as u64);
+                    }
+                    latencies
+                })
+            })
+            .collect();
+        let all = readers
+            .into_iter()
+            .flat_map(|h| h.join().expect("reader panicked"))
+            .collect();
+        done.store(true, Ordering::Release);
+        all
     });
+    latencies.sort_unstable();
 
-    // Locked side: per-slot reader-writer locks, the same churn.
-    let slots: Vec<RwLock<Option<Arc<Peers>>>> =
-        (0..num_users).map(|_| RwLock::new(None)).collect();
-    {
-        let scratch = PeerIndex::new(selector, num_users);
-        scratch.warm_symmetric(&measure, Parallelism::Threads(WARM_THREADS));
-        for (u, slot) in slots.iter().enumerate() {
-            *slot.write().expect("unpoisoned") = scratch.cached_full(UserId::new(u as u32));
-        }
-    }
-    let done = AtomicBool::new(false);
-    let locked = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            while !done.load(Ordering::Acquire) {
-                for slot in &slots {
-                    *slot.write().expect("unpoisoned") = None;
-                }
-                let scratch = PeerIndex::new(selector, num_users);
-                scratch.warm_symmetric(&measure, Parallelism::Threads(WARM_THREADS));
-                for (u, slot) in slots.iter().enumerate() {
-                    *slot.write().expect("unpoisoned") = scratch.cached_full(UserId::new(u as u32));
-                }
-            }
-        });
-        run_readers(
-            &|group| {
-                group
-                    .iter()
-                    .map(|u| slots[u.index()].read().expect("unpoisoned").clone())
-                    .collect()
-            },
-            &done,
-        )
-    });
-
-    for (side, latencies) in [("epoch", &epoch), ("locked", &locked)] {
-        let n = latencies.len();
-        criterion::record_scalar(
-            &format!("warm_under_load/{side}_p50"),
-            percentile(latencies, 50) as f64,
-            n,
-        );
-        criterion::record_scalar(
-            &format!("warm_under_load/{side}_p95"),
-            percentile(latencies, 95) as f64,
-            n,
-        );
-        println!(
-            "warm_under_load[{side}]: {n} reads, p50 {} ns, p95 {} ns, p99 {} ns",
-            percentile(latencies, 50),
-            percentile(latencies, 95),
-            percentile(latencies, 99),
-        );
-    }
+    let n = latencies.len();
+    criterion::record_scalar("warm_under_load/p50", percentile(&latencies, 50) as f64, n);
+    criterion::record_scalar("warm_under_load/p95", percentile(&latencies, 95) as f64, n);
+    println!(
+        "warm_under_load: {n} reads, p50 {} ns, p95 {} ns, p99 {} ns",
+        percentile(&latencies, 50),
+        percentile(&latencies, 95),
+        percentile(&latencies, 99),
+    );
 }
 
 /// Batch maintenance cost, model-picked vs forced-blanket: the same

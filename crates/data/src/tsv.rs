@@ -291,6 +291,9 @@ mod tests {
             ("x\t2\t3\n", "bad user id"),
             ("1\ty\t3\n", "bad item id"),
             ("1\t2\tz\n", "bad rating"),
+            // The sentinel id has no `id + 1` to size the id space with.
+            ("4294967295\t0\t3\n", "invalid parameter `user`"),
+            ("0\t4294967295\t3\n", "invalid parameter `item`"),
         ];
         for (text, needle) in cases {
             let err = read_ratings(BufReader::new(text.as_bytes()), None).unwrap_err();

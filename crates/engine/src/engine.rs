@@ -1905,7 +1905,55 @@ mod tests {
                 generation,
                 "all-rejected batch must not bump the generation token"
             );
+            // A batch failing mid-way, after valid entries, leaves the
+            // store, the token and every cached list bitwise untouched.
+            let before = ingest_state(&e);
+            let valid = [
+                (UserId::new(1), ItemId::new(2), 3.0),
+                (UserId::new(5), ItemId::new(149), 4.5),
+            ];
+            let bad = [
+                (UserId::new(3), ItemId::new(7), f64::NAN),
+                (UserId::new(3), ItemId::new(7), f64::INFINITY),
+                (UserId::new(3), ItemId::new(7), f64::NEG_INFINITY),
+                (UserId::new(3), ItemId::new(7), 0.5),
+                (UserId::new(3), ItemId::new(7), 5.5),
+                (UserId::new(u32::MAX), ItemId::new(7), 3.0),
+            ];
+            for entry in bad {
+                let batch = valid.iter().copied().chain([entry]);
+                assert!(e.ingest_ratings(batch).is_err(), "{entry:?}");
+                assert!(ingest_state(&e) == before, "{entry:?} changed the engine");
+            }
         }
+    }
+
+    /// Everything a rejected ingest must leave alone: the triples, the
+    /// generation token, the cached count and every cached list, scores
+    /// and similarities by bit pattern.
+    type IngestState = (
+        Vec<(UserId, ItemId, u64)>,
+        u64,
+        usize,
+        Vec<Option<Vec<(UserId, u64)>>>,
+    );
+
+    fn ingest_state(e: &RecommenderEngine) -> IngestState {
+        let index = e.peer_index();
+        let triples = e
+            .ratings()
+            .to_triples()
+            .iter()
+            .map(|t| (t.user, t.item, t.rating.value().to_bits()))
+            .collect();
+        let lists = (0..index.num_users())
+            .map(|u| {
+                index
+                    .cached_full(UserId::new(u))
+                    .map(|list| list.iter().map(|&(v, sim)| (v, sim.to_bits())).collect())
+            })
+            .collect();
+        (triples, index.generation(), index.num_cached(), lists)
     }
 
     #[test]

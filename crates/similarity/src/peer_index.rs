@@ -77,17 +77,17 @@
 //! `&mut self` on its ingest path); concurrent *readers* are always safe
 //! and simply see each list pre- or post-change.
 //!
-//! ## Epoch publication: the lock-free slot protocol
+//! ## Slot publication
 //!
-//! Slots are *not* locks. Each one is a versioned atomic `Arc` cell
-//! (`crossbeam::atomic::ArcCell` over epoch-based reclamation), so the
-//! read path — serving traffic — is **wait-free**: one epoch pin, one
-//! pointer load, one `Arc` clone. No reader ever blocks on a warm, an
-//! invalidation, or a delta splice; it sees each slot's list entirely
-//! pre- or entirely post-publication, never a torn intermediate.
+//! Each slot is a `(version, list)` pair under its own std mutex. A read
+//! locks one slot just long enough to clone its `Arc`, so it waits at
+//! most for one slot's replace, never for a warm, an invalidation or a
+//! delta splice as a whole; it sees each slot's list entirely pre- or
+//! entirely post-publication, never a torn intermediate. Displaced lists
+//! are freed by `Arc` refcount after the slot is unlocked.
 //!
 //! Writers build replacement lists off to the side and publish each with
-//! a single pointer swap. Two write shapes exist:
+//! a single slot replace. Two write shapes exist:
 //!
 //! * **Optimistic fills** (lazy [`full_peers`](PeerIndex::full_peers)
 //!   misses, eager [`warm`](PeerIndex::warm)/
@@ -100,7 +100,7 @@
 //!   slots too. A fill computed against pre-change data therefore always
 //!   fails its CAS; a fill racing another fill of the same slot loses
 //!   benignly (both computed the identical list). Slot versions are
-//!   strictly monotonic, so a matching version names exactly the node
+//!   strictly monotonic, so a matching version names exactly the list
 //!   that was observed (no ABA).
 //! * **Serialized maintenance** (invalidations, delta splices) swaps
 //!   unconditionally — external serialization means the only concurrent
@@ -117,10 +117,9 @@
 use crate::bulk::{BulkUserSimilarity, SimScratch};
 use crate::peers::{PeerSelector, Peers};
 use crate::UserSimilarity;
-use crossbeam::atomic::ArcCell;
 use fairrec_types::{Parallelism, UserId};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Chunk size for eager warms: each parallel task computes one chunk of
 /// users with a single [`SimScratch`], so scratch reuse matches worker
@@ -184,13 +183,82 @@ pub(crate) enum SpliceOutcome {
     Untouched,
 }
 
+/// One user's published peer list plus its version, under a std mutex.
+///
+/// Every successful write installs exactly `version + 1`, so a slot's
+/// versions strictly increase and a version names one published value:
+/// observe `(list, version)` with [`load_versioned`](Self::load_versioned),
+/// compute off to the side, then publish with
+/// [`compare_version_swap`](Self::compare_version_swap) only if the slot
+/// still holds that version (no ABA). A critical section is only a
+/// compare, an `Arc` clone or a replace; displaced lists are dropped
+/// after unlocking.
+struct Slot(Mutex<(u64, Option<Arc<Peers>>)>);
+
+impl Slot {
+    /// New slot holding `value` at version 0.
+    fn new(value: Option<Arc<Peers>>) -> Self {
+        Self(Mutex::new((0, value)))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (u64, Option<Arc<Peers>>)> {
+        // Every critical section leaves the pair valid at each step, so
+        // a lock poisoned by a panicking holder still guards a
+        // consistent pair.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Snapshot of the current list.
+    fn load(&self) -> Option<Arc<Peers>> {
+        self.lock().1.clone()
+    }
+
+    /// Snapshot of the current `(list, version)` pair.
+    fn load_versioned(&self) -> (Option<Arc<Peers>>, u64) {
+        let slot = self.lock();
+        (slot.1.clone(), slot.0)
+    }
+
+    /// Unconditionally publishes `value` at the next version, returning
+    /// the displaced list (the caller drops it after the unlock).
+    fn swap(&self, value: Option<Arc<Peers>>) -> Option<Arc<Peers>> {
+        let mut slot = self.lock();
+        slot.0 += 1;
+        std::mem::replace(&mut slot.1, value)
+    }
+
+    /// Publishes `value` at `expected_version + 1` only if the slot still
+    /// holds `expected_version`; returns whether the install happened.
+    fn compare_version_swap(&self, expected_version: u64, value: Option<Arc<Peers>>) -> bool {
+        let mut slot = self.lock();
+        if slot.0 != expected_version {
+            return false;
+        }
+        slot.0 += 1;
+        let displaced = std::mem::replace(&mut slot.1, value);
+        drop(slot);
+        drop(displaced);
+        true
+    }
+}
+
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (value, version) = self.load_versioned();
+        f.debug_struct("Slot")
+            .field("version", &version)
+            .field("occupied", &value.is_some())
+            .finish()
+    }
+}
+
 /// Memoized Definition-1 peer lists over a fixed user universe
 /// `0..num_users`. See the module docs for the caching contract and the
-/// epoch-publication slot protocol.
+/// slot publication protocol.
 #[derive(Debug)]
 pub struct PeerIndex {
     selector: PeerSelector,
-    slots: Vec<ArcCell<Peers>>,
+    slots: Vec<Slot>,
     generation: AtomicU64,
     /// O(1) count of `Some` slots, kept in sync by the slot-write helpers
     /// [`Self::swap_slot`]/[`Self::cas_slot`] — `num_cached` sits on the
@@ -205,7 +273,7 @@ impl PeerIndex {
     pub fn new(selector: PeerSelector, num_users: u32) -> Self {
         Self {
             selector,
-            slots: (0..num_users).map(|_| ArcCell::new(None)).collect(),
+            slots: (0..num_users).map(|_| Slot::new(None)).collect(),
             generation: AtomicU64::new(0),
             cached: AtomicUsize::new(0),
         }
@@ -238,7 +306,7 @@ impl PeerIndex {
     /// still at `expected_version` (as observed by the caller's
     /// `load_versioned`, whose value had someness `displaced_some` —
     /// version uniqueness guarantees that observation *is* the displaced
-    /// node). Returns whether the install happened.
+    /// value). Returns whether the install happened.
     fn cas_slot(
         &self,
         idx: usize,
@@ -385,13 +453,13 @@ impl PeerIndex {
             self.num_users()
         );
         let mut cached = 0usize;
-        let mut slots: Vec<ArcCell<Peers>> = Vec::with_capacity(num_users as usize);
+        let mut slots: Vec<Slot> = Vec::with_capacity(num_users as usize);
         for slot in &self.slots {
             let value = slot.load();
             cached += usize::from(value.is_some());
-            slots.push(ArcCell::new(value));
+            slots.push(Slot::new(value));
         }
-        slots.resize_with(num_users as usize, || ArcCell::new(None));
+        slots.resize_with(num_users as usize, || Slot::new(None));
         Self {
             selector: self.selector,
             slots,
@@ -429,7 +497,7 @@ impl PeerIndex {
         let delta = self.selector.delta;
         let bound = self.selector.cache_bound();
         let mut cached = 0usize;
-        let mut slots: Vec<ArcCell<Peers>> = Vec::with_capacity(num_users as usize);
+        let mut slots: Vec<Slot> = Vec::with_capacity(num_users as usize);
         for (idx, slot) in self.slots.iter().enumerate() {
             let v = UserId::new(idx as u32);
             let revalidated = slot.load().map(|list| {
@@ -451,9 +519,9 @@ impl PeerIndex {
                 Arc::new(list)
             });
             cached += usize::from(revalidated.is_some());
-            slots.push(ArcCell::new(revalidated));
+            slots.push(Slot::new(revalidated));
         }
-        slots.resize_with(num_users as usize, || ArcCell::new(None));
+        slots.resize_with(num_users as usize, || Slot::new(None));
         Self {
             selector: self.selector,
             slots,
@@ -473,7 +541,7 @@ impl PeerIndex {
     pub fn rebuild_cold(&self, num_users: u32) -> Self {
         Self {
             selector: self.selector,
-            slots: (0..num_users).map(|_| ArcCell::new(None)).collect(),
+            slots: (0..num_users).map(|_| Slot::new(None)).collect(),
             generation: AtomicU64::new(self.generation() + 1),
             cached: AtomicUsize::new(0),
         }
@@ -549,30 +617,6 @@ impl PeerIndex {
         self.slots.get(user.index())?.load()
     }
 
-    /// [`cached_full`](Self::cached_full) under a caller-held epoch pin
-    /// — the building block of the bulk accessors.
-    pub(crate) fn cached_full_with(
-        &self,
-        user: UserId,
-        guard: &crossbeam::epoch::Guard,
-    ) -> Option<Arc<Peers>> {
-        self.slots.get(user.index())?.load_with(guard)
-    }
-
-    /// The cached full lists of every user in `users` under **one**
-    /// epoch pin. The pin (a seqcst announcement round-trip) is the
-    /// dominant cost of a snapshot load, so group-shaped reads — the
-    /// request path reads every member's list — pay it once here
-    /// instead of once per member. Bitwise the same answers as
-    /// per-member [`cached_full`](Self::cached_full) calls.
-    pub fn cached_full_bulk(&self, users: &[UserId]) -> Vec<Option<Arc<Peers>>> {
-        let guard = crossbeam::epoch::pin();
-        users
-            .iter()
-            .map(|&u| self.cached_full_with(u, &guard))
-            .collect()
-    }
-
     /// The memoized full peer list of `user`, computing and caching it on
     /// first access. Users outside the universe get an empty list.
     pub fn full_peers<S: BulkUserSimilarity + ?Sized>(
@@ -614,14 +658,10 @@ impl PeerIndex {
         measure: &S,
         group: &[UserId],
     ) -> Vec<(UserId, Peers)> {
-        // One pinned pass over the warm slots; only misses fall back to
-        // the (pin-per-call) computing path.
-        let cached = self.cached_full_bulk(group);
         group
             .iter()
-            .zip(cached)
-            .map(|(&member, cached)| {
-                let full = cached.unwrap_or_else(|| self.full_peers(measure, member));
+            .map(|&member| {
+                let full = self.full_peers(measure, member);
                 (member, self.selector.view(&full, group))
             })
             .collect()
@@ -632,12 +672,10 @@ impl PeerIndex {
     /// accessor for indexes built with [`from_edges`](Self::from_edges),
     /// where no measure exists to fill misses.
     pub fn group_peers_cached(&self, group: &[UserId]) -> Vec<(UserId, Peers)> {
-        let cached = self.cached_full_bulk(group);
         group
             .iter()
-            .zip(cached)
-            .map(|(&member, cached)| {
-                let view = match cached {
+            .map(|&member| {
+                let view = match self.cached_full(member) {
                     Some(full) => self.selector.view(&full, group),
                     None => Peers::new(),
                 };
@@ -1118,6 +1156,41 @@ mod tests {
             vec![0.9, 0.4, 0.8, 1.0, 0.1],
             vec![0.5, 0.6, 0.7, 0.1, 1.0],
         ])
+    }
+
+    #[test]
+    fn slot_versions_name_one_published_value() {
+        let list = |v: u32| Some(Arc::new(vec![(UserId::new(v), 0.5)]));
+        let slot = Slot::new(None);
+        assert_eq!(slot.load_versioned(), (None, 0));
+        assert_eq!(slot.swap(list(1)), None);
+        assert_eq!(slot.load_versioned(), (list(1), 1));
+        // A publish against a stale version is rejected and changes nothing.
+        assert!(!slot.compare_version_swap(0, list(2)));
+        assert_eq!(slot.load_versioned(), (list(1), 1));
+        assert!(slot.compare_version_swap(1, list(2)));
+        assert_eq!(slot.swap(None), list(2));
+        assert_eq!(slot.load_versioned(), (None, 3));
+        // Racing publishes against one observed version: exactly one wins
+        // whatever the interleaving, and the slot holds its value.
+        let start = std::sync::Barrier::new(4);
+        let winners: Vec<u32> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (10..14)
+                .map(|v| {
+                    let (slot, start) = (&slot, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        slot.compare_version_swap(3, list(v)).then_some(v)
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .filter_map(|h| h.join().expect("racer panicked"))
+                .collect()
+        });
+        assert_eq!(winners.len(), 1, "{winners:?}");
+        assert_eq!(slot.load_versioned(), (list(winners[0]), 4));
     }
 
     #[test]

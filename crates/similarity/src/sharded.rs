@@ -486,22 +486,6 @@ impl ShardedPeerIndex {
         self.shard(s).cached_full(local)
     }
 
-    /// The cached full lists of every user in `users` under **one**
-    /// epoch pin, owner-routed per user — see
-    /// [`PeerIndex::cached_full_bulk`] for why group-shaped reads
-    /// amortise the pin. The pin is process-global, so one announcement
-    /// covers slot loads across every shard.
-    pub fn cached_full_bulk(&self, users: &[UserId]) -> Vec<Option<Arc<Peers>>> {
-        let guard = crossbeam::epoch::pin();
-        users
-            .iter()
-            .map(|&u| {
-                let (s, local) = self.slot_of(u)?;
-                self.shard(s).cached_full_with(local, &guard)
-            })
-            .collect()
-    }
-
     /// The memoized **full global** peer list of `user`, served by (and
     /// cached in) the owning shard's slot; a cold slot runs one
     /// one-vs-all pass of `measure` over the global universe. Users
@@ -537,14 +521,10 @@ impl ShardedPeerIndex {
         measure: &S,
         group: &[UserId],
     ) -> Vec<(UserId, Peers)> {
-        // One pinned pass over the warm slots (owner-routed); only
-        // misses fall back to the computing path.
-        let cached = self.cached_full_bulk(group);
         group
             .iter()
-            .zip(cached)
-            .map(|(&member, cached)| {
-                let full = cached.unwrap_or_else(|| self.full_peers(measure, member));
+            .map(|&member| {
+                let full = self.full_peers(measure, member);
                 (member, self.selector.view(&full, group))
             })
             .collect()
@@ -646,11 +626,11 @@ impl ShardedPeerIndex {
 
     /// Publishes finished global-id-indexed lists into the per-shard
     /// indexes (slot `l` of shard `s` ← list of the `l`-th owned user),
-    /// one epoch-swapped slot at a time: each install is a per-slot
-    /// pointer CAS under that shard's recorded token, so concurrent
-    /// readers keep serving throughout — they see either the cold slot
-    /// (and fill it lazily with the identical list) or the published
-    /// one, never a lock. A shard whose token moved mid-install skips
+    /// one slot at a time: each install is a per-slot version CAS under
+    /// that shard's recorded token, so concurrent readers keep serving
+    /// throughout — they see either the cold slot (and fill it lazily
+    /// with the identical list) or the published one, never a
+    /// whole-shard lock. A shard whose token moved mid-install skips
     /// its remaining slots' swaps (the CAS-internal generation check),
     /// exactly like the monolithic warm. Returns the number of lists
     /// actually installed.

@@ -1,8 +1,8 @@
-//! Seeded multi-threaded stress suite for the epoch-published peer
-//! slots — the headline proof of the lock-free serving contract.
+//! Seeded multi-threaded stress suite for the published peer slots —
+//! the headline proof of the serve-through-maintenance contract.
 //!
-//! N reader threads hammer recommend-shaped lookups (wait-free
-//! `cached_full` loads plus the mask+cap serving view) while one
+//! N reader threads hammer recommend-shaped lookups (per-member
+//! `cached_full` slot loads plus the mask+cap serving view) while one
 //! maintenance thread drives the full update-path repertoire over a
 //! precomputed chain of matrix states: symmetric and lazy warms,
 //! per-user and blanket invalidations, exact `apply_delta` splices, and
@@ -15,7 +15,8 @@
 //!   token. A torn warm, a stale in-flight fill landing after an
 //!   invalidation, or a half-applied delta would all surface as a
 //!   mixed-generation snapshot here.
-//! * **No deadlock / no reader exclusion** — readers run wait-free
+//! * **No deadlock / no reader exclusion** — a read waits at most for
+//!   one slot's replace, never for a whole warm, so readers keep serving
 //!   throughout full warms and assert they actually verified windows.
 //! * **Bitwise-equal final state** — after the churn, the surviving
 //!   index warms to exactly what a cold rebuild over the final matrix
@@ -121,20 +122,20 @@ fn oracle_lists(matrix: &Arc<RatingMatrix>, selector: PeerSelector) -> Vec<Arc<P
         .collect()
 }
 
-/// The wait-free read surface the stress readers exercise — both index
-/// shapes serve it.
+/// The read surface the stress readers exercise — both index shapes
+/// serve it.
 trait SnapshotRead: Send + Sync + 'static {
     fn generation(&self) -> u64;
-    /// The group-shaped read: every member's list under one epoch pin.
-    fn cached_full_bulk(&self, users: &[UserId]) -> Vec<Option<Arc<Peers>>>;
+    /// One member's cached full list.
+    fn cached_full(&self, user: UserId) -> Option<Arc<Peers>>;
 }
 
 impl SnapshotRead for PeerIndex {
     fn generation(&self) -> u64 {
         PeerIndex::generation(self)
     }
-    fn cached_full_bulk(&self, users: &[UserId]) -> Vec<Option<Arc<Peers>>> {
-        PeerIndex::cached_full_bulk(self, users)
+    fn cached_full(&self, user: UserId) -> Option<Arc<Peers>> {
+        PeerIndex::cached_full(self, user)
     }
 }
 
@@ -142,8 +143,8 @@ impl SnapshotRead for ShardedPeerIndex {
     fn generation(&self) -> u64 {
         ShardedPeerIndex::generation(self)
     }
-    fn cached_full_bulk(&self, users: &[UserId]) -> Vec<Option<Arc<Peers>>> {
-        ShardedPeerIndex::cached_full_bulk(self, users)
+    fn cached_full(&self, user: UserId) -> Option<Arc<Peers>> {
+        ShardedPeerIndex::cached_full(self, user)
     }
 }
 
@@ -183,11 +184,8 @@ fn spawn_readers<I: SnapshotRead>(
                     let group: Vec<UserId> = (0..3)
                         .map(|_| UserId::new(rng.gen_range(0..NUM_USERS)))
                         .collect();
-                    let observed: Vec<(UserId, Option<Arc<Peers>>)> = group
-                        .iter()
-                        .copied()
-                        .zip(index.cached_full_bulk(&group))
-                        .collect();
+                    let observed: Vec<(UserId, Option<Arc<Peers>>)> =
+                        group.iter().map(|&u| (u, index.cached_full(u))).collect();
                     if index.generation() != g1 {
                         // Maintenance moved mid-window: the snapshot
                         // spans generations by construction — discard.

@@ -95,7 +95,8 @@ impl RatingMatrixBuilder {
     ///
     /// # Errors
     /// Returns [`FairrecError::DuplicateRating`] if the same `(user, item)`
-    /// pair was added twice.
+    /// pair was added twice, and [`FairrecError::InvalidParameter`] for id
+    /// `u32::MAX` (the id spaces are sized `id + 1`).
     pub fn build(self) -> Result<RatingMatrix> {
         let Self {
             mut triples,
@@ -103,18 +104,8 @@ impl RatingMatrixBuilder {
             min_items,
         } = self;
 
-        let n_users = triples
-            .iter()
-            .map(|t| t.0.raw() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(min_users);
-        let n_items = triples
-            .iter()
-            .map(|t| t.1.raw() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(min_items);
+        let n_users = id_space(triples.iter().map(|t| t.0.raw()), min_users, "user")?;
+        let n_items = id_space(triples.iter().map(|t| t.1.raw()), min_items, "item")?;
 
         // Sort user-major; detect duplicates on the sorted sequence.
         triples.sort_unstable_by_key(|&(u, i, _)| (u, i));
@@ -188,6 +179,20 @@ impl RatingMatrixBuilder {
             user_degrees,
         })
     }
+}
+
+/// The id space `0..n` covering every id in `ids` and at least `min`.
+/// The id `u32::MAX` has no `id + 1` and is rejected like
+/// [`RatingMatrix::insert_rating`] rejects it.
+fn id_space(mut ids: impl Iterator<Item = u32>, min: u32, name: &'static str) -> Result<u32> {
+    ids.try_fold(min, |n, id| {
+        id.checked_add(1).map(|end| n.max(end)).ok_or_else(|| {
+            FairrecError::invalid_parameter(
+                name,
+                format!("id u32::MAX would overflow the {name} id space"),
+            )
+        })
+    })
 }
 
 /// Sparse rating matrix with user-major and item-major views.
@@ -984,6 +989,16 @@ mod tests {
                 .is_err_and(|e| matches!(e, FairrecError::InvalidParameter { .. })));
         }
         assert_bitwise_equal(&m, &before);
+        // The builder sizes its id spaces the same way and rejects the
+        // sentinel with the same typed error instead of overflowing.
+        for (u, i) in [(u32::MAX, 0u32), (0, u32::MAX)] {
+            let mut b = RatingMatrixBuilder::new();
+            b.add(UserId::new(0), ItemId::new(0), r(4.0));
+            b.add(UserId::new(u), ItemId::new(i), r(3.0));
+            assert!(b
+                .build()
+                .is_err_and(|e| matches!(e, FairrecError::InvalidParameter { .. })));
+        }
     }
 
     #[test]

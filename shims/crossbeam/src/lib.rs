@@ -1,30 +1,7 @@
-//! Minimal stand-ins for the `crossbeam` primitives the workspace uses.
-//!
-//! - [`channel`]: the MPMC channel driving the MapReduce engine, over
-//!   `Mutex<VecDeque>` + `Condvar` — correct multi-consumer semantics and
-//!   disconnect detection, not crossbeam's lock-free throughput.
-//! - [`epoch`]: epoch-based memory reclamation (pin / defer / collect) for
-//!   the lock-free peer-publication path. Unlike `crossbeam-epoch` this is
-//!   a compact registry-scan design: reclamation is amortised over
-//!   [`epoch::Guard::defer`] calls and [`epoch::collect`], and safety comes
-//!   from the *two-epoch margin* rule (a deferred destructor runs only once
-//!   its retirement epoch is at least two behind the reclamation bound, so
-//!   every pin that could have observed the unlinked value has ended —
-//!   including pins the collection scan raced past).
-//! - [`atomic`]: [`atomic::ArcCell`], a versioned atomic `Option<Arc<T>>`
-//!   slot built on [`epoch`] — wait-free snapshot loads plus versioned
-//!   compare-and-swap publication (the arc-swap shape `PeerIndex` slots
-//!   need).
-
-/// Serializes tests whose assertions depend on reclamation timing: the
-/// epoch registry is process-global, so a concurrently running test that
-/// pins or collects can otherwise advance/stall the epoch mid-assertion.
-#[cfg(test)]
-pub(crate) fn epoch_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+//! Minimal stand-in for the `crossbeam` primitive the workspace uses:
+//! [`channel`], the MPMC channel driving the MapReduce engine, over
+//! `Mutex<VecDeque>` + `Condvar` — correct multi-consumer semantics and
+//! disconnect detection, not crossbeam's lock-free throughput.
 
 /// Multi-producer multi-consumer channels (mirror of `crossbeam::channel`).
 pub mod channel {
@@ -306,629 +283,6 @@ pub mod channel {
                 tx.send(99u8).unwrap();
                 assert_eq!(h.join().expect("receiver panicked"), 99);
             });
-        }
-    }
-}
-
-/// Epoch-based memory reclamation (mirror of `crossbeam::epoch`, reduced to
-/// what the peer-publication path needs).
-///
-/// # Protocol
-///
-/// Readers [`pin`](epoch::pin) before dereferencing shared pointers and
-/// hold the returned [`Guard`](epoch::Guard) across the access. Writers
-/// unlink a value with an atomic swap and hand its destructor to
-/// [`Guard::defer`](epoch::Guard::defer); the destructor
-/// runs only after every pin that could still observe the unlinked value
-/// has ended.
-///
-/// # Safety argument
-///
-/// Every operation on participant state, the global epoch, and shared
-/// pointers uses `SeqCst`, so all of them fall in one total order. A pin
-/// announces `pinned@e` for the loaded global epoch `e`, then re-reads the
-/// global epoch and re-announces until the two agree (the `crossbeam-epoch`
-/// validation loop); only after that does the reader load shared pointers.
-/// A deferred destructor is tagged with the global epoch at defer time.
-///
-/// [`collect`](epoch::collect) computes a reclamation bound `safe` — the
-/// minimum epoch announced by any participant pinned at scan time, or the
-/// (possibly just-advanced) global epoch when none is — and frees a
-/// deferred item only when its tag is **at least two epochs behind**
-/// (`tag + 1 < safe`). The margin is what makes the registry scan sound
-/// against pins it races past: a reader whose announcement lands *after*
-/// the scan is invisible to this pass, but its announcement follows the
-/// pass's load of the global epoch `cur` in the total order, so every
-/// pointer it can still hold was unlinked after that (`tag >= cur`), while
-/// the pass advances the epoch once at most (`safe <= cur + 1`) — hence
-/// `tag + 1 >= safe` and the item survives. Once the announcement is
-/// visible every later scan counts it, `safe` stays at or below the
-/// reader's epoch, and nothing it can observe reclaims.
-///
-/// The global epoch only advances ([`collect`](epoch::collect)) when
-/// every pinned
-/// participant has announced the current epoch, so the minimum lags the
-/// global epoch by at most one step and reclamation cannot starve while
-/// guards keep being dropped; the pin-time re-validation keeps
-/// announcements fresh so the extra margin costs one collection pass, not
-/// a stalled backlog.
-pub mod epoch {
-    use std::cell::RefCell;
-    use std::collections::VecDeque;
-    use std::marker::PhantomData;
-    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    /// Deferred destructor retired under some epoch.
-    type Deferred = Box<dyn FnOnce() + Send>;
-
-    /// Run a collection pass once the backlog crosses this many items.
-    const COLLECT_THRESHOLD: usize = 64;
-
-    /// Per-thread announcement word: `epoch << 1 | pinned`.
-    struct Participant {
-        state: AtomicU64,
-    }
-
-    struct Global {
-        epoch: AtomicU64,
-        participants: Mutex<Vec<Arc<Participant>>>,
-        garbage: Mutex<VecDeque<(u64, Deferred)>>,
-    }
-
-    fn global() -> &'static Global {
-        static GLOBAL: OnceLock<Global> = OnceLock::new();
-        GLOBAL.get_or_init(|| Global {
-            epoch: AtomicU64::new(1),
-            participants: Mutex::new(Vec::new()),
-            garbage: Mutex::new(VecDeque::new()),
-        })
-    }
-
-    /// Thread-local registration; deregisters on thread exit.
-    struct Local {
-        participant: Arc<Participant>,
-        pin_depth: usize,
-    }
-
-    impl Drop for Local {
-        fn drop(&mut self) {
-            let mut parts = global().participants.lock().expect("epoch poisoned");
-            parts.retain(|p| !Arc::ptr_eq(p, &self.participant));
-        }
-    }
-
-    thread_local! {
-        static LOCAL: RefCell<Local> = RefCell::new({
-            let participant = Arc::new(Participant {
-                state: AtomicU64::new(0),
-            });
-            global()
-                .participants
-                .lock()
-                .expect("epoch poisoned")
-                .push(Arc::clone(&participant));
-            Local { participant, pin_depth: 0 }
-        });
-    }
-
-    /// Keeps the current thread pinned; dropping it unpins. `!Send`: a
-    /// guard must unpin the thread that pinned.
-    pub struct Guard {
-        _not_send: PhantomData<*mut ()>,
-    }
-
-    /// Pins the current thread: until the returned [`Guard`] drops, no
-    /// value unlinked **after** this call will be reclaimed. Reentrant;
-    /// nested pins share the outermost announcement.
-    pub fn pin() -> Guard {
-        LOCAL.with(|local| {
-            let mut local = local.borrow_mut();
-            if local.pin_depth == 0 {
-                // Announce-then-revalidate: re-read the global epoch
-                // after publishing the announcement and re-announce
-                // until both agree, so a pin never sits at an epoch
-                // that was already stale when its announcement became
-                // visible (which would stall reclamation for as long
-                // as the guard lives).
-                let g = global();
-                let mut e = g.epoch.load(SeqCst);
-                loop {
-                    local.participant.state.store((e << 1) | 1, SeqCst);
-                    let now = g.epoch.load(SeqCst);
-                    if now == e {
-                        break;
-                    }
-                    e = now;
-                }
-            }
-            local.pin_depth += 1;
-        });
-        Guard {
-            _not_send: PhantomData,
-        }
-    }
-
-    impl Guard {
-        /// Schedules `f` (typically a destructor for a value just
-        /// unlinked) to run once every pin active at unlink time has
-        /// ended. Amortises a [`collect`] pass when the backlog grows.
-        pub fn defer(&self, f: impl FnOnce() + Send + 'static) {
-            let g = global();
-            let e = g.epoch.load(SeqCst);
-            let backlog = {
-                let mut garbage = g.garbage.lock().expect("epoch poisoned");
-                garbage.push_back((e, Box::new(f)));
-                garbage.len()
-            };
-            if backlog >= COLLECT_THRESHOLD {
-                collect();
-            }
-        }
-    }
-
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            // `try_with`: guards owned by TLS destructors of other keys may
-            // drop after LOCAL itself; the participant is deregistered then,
-            // so there is nothing left to unpin.
-            let _ = LOCAL.try_with(|local| {
-                let mut local = local.borrow_mut();
-                local.pin_depth -= 1;
-                if local.pin_depth == 0 {
-                    let state = local.participant.state.load(SeqCst);
-                    local.participant.state.store(state & !1, SeqCst);
-                }
-            });
-        }
-    }
-
-    /// Tries to advance the global epoch and frees every deferred item
-    /// retired at least two epochs behind the reclamation bound (the
-    /// minimum pinned epoch, or the global epoch when nobody is pinned).
-    /// Safe to call from any thread, pinned or not; destructors run
-    /// outside all internal locks.
-    pub fn collect() {
-        let g = global();
-        let cur = g.epoch.load(SeqCst);
-        let mut min_pinned: Option<u64> = None;
-        {
-            let parts = g.participants.lock().expect("epoch poisoned");
-            for p in parts.iter() {
-                let s = p.state.load(SeqCst);
-                if s & 1 == 1 {
-                    let e = s >> 1;
-                    min_pinned = Some(min_pinned.map_or(e, |m| m.min(e)));
-                }
-            }
-        }
-        if min_pinned.is_none_or(|m| m >= cur) {
-            // Every pinned participant has caught up with the current
-            // epoch; advancing lets their deferred garbage age out.
-            let _ = g.epoch.compare_exchange(cur, cur + 1, SeqCst, SeqCst);
-        }
-        let safe = min_pinned.unwrap_or_else(|| g.epoch.load(SeqCst));
-        let ready: Vec<Deferred> = {
-            let mut garbage = g.garbage.lock().expect("epoch poisoned");
-            let drained = std::mem::take(&mut *garbage);
-            let mut ready = Vec::new();
-            for (e, f) in drained {
-                // Two-epoch safety margin, NOT `e < safe`: a reader that
-                // pinned after the participant scan above is invisible
-                // to this pass, but its announcement postdates this
-                // pass's `cur` load, so anything it can still hold was
-                // retired at tag >= cur while this pass advances `safe`
-                // to at most cur + 1. Freeing only two-behind keeps that
-                // raced-past pin's pointers alive (see the module-level
-                // safety argument).
-                if e + 1 < safe {
-                    ready.push(f);
-                } else {
-                    garbage.push_back((e, f));
-                }
-            }
-            ready
-        };
-        for f in ready {
-            f();
-        }
-    }
-
-    /// Runs [`collect`] until the backlog stops shrinking — with no
-    /// concurrent pins this drains every deferred destructor. Test hook.
-    pub fn flush() {
-        loop {
-            let before = global().garbage.lock().expect("epoch poisoned").len();
-            if before == 0 {
-                return;
-            }
-            // Two passes per round: the two-epoch safety margin means a
-            // freshly deferred item needs the epoch advanced twice past
-            // its tag before it may be freed.
-            collect();
-            collect();
-            let after = global().garbage.lock().expect("epoch poisoned").len();
-            if after >= before {
-                return;
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::sync::atomic::AtomicUsize;
-
-        #[test]
-        fn deferred_destructor_runs_after_unpin() {
-            let _serial = crate::epoch_test_lock();
-            static RAN: AtomicUsize = AtomicUsize::new(0);
-            {
-                let guard = pin();
-                guard.defer(|| {
-                    RAN.fetch_add(1, SeqCst);
-                });
-            }
-            flush();
-            assert_eq!(RAN.load(SeqCst), 1);
-        }
-
-        #[test]
-        fn reclamation_keeps_a_two_epoch_margin() {
-            let _serial = crate::epoch_test_lock();
-            let ran = Arc::new(AtomicUsize::new(0));
-            {
-                let guard = pin();
-                let ran = Arc::clone(&ran);
-                guard.defer(move || {
-                    ran.fetch_add(1, SeqCst);
-                });
-            }
-            // One pass advances the epoch once past the tag — exactly the
-            // slack a reader pinned behind the participant scan may sit
-            // in, so the item must survive it.
-            collect();
-            assert_eq!(ran.load(SeqCst), 0, "freed with one epoch of slack");
-            // A second advance puts the tag two behind; now it frees.
-            collect();
-            assert_eq!(ran.load(SeqCst), 1);
-        }
-
-        #[test]
-        fn pinned_reader_blocks_reclamation() {
-            let _serial = crate::epoch_test_lock();
-            let ran = Arc::new(AtomicUsize::new(0));
-            let (started_tx, started_rx) = std::sync::mpsc::channel();
-            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-            let reader = std::thread::spawn(move || {
-                let _guard = pin();
-                started_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
-                // guard drops here
-            });
-            started_rx.recv().unwrap();
-            {
-                let guard = pin();
-                let ran = Arc::clone(&ran);
-                guard.defer(move || {
-                    ran.fetch_add(1, SeqCst);
-                });
-            }
-            flush();
-            assert_eq!(ran.load(SeqCst), 0, "reader still pinned");
-            release_tx.send(()).unwrap();
-            reader.join().unwrap();
-            flush();
-            assert_eq!(ran.load(SeqCst), 1);
-        }
-
-        #[test]
-        fn nested_pins_share_one_announcement() {
-            let _serial = crate::epoch_test_lock();
-            let outer = pin();
-            let inner = pin();
-            drop(inner);
-            // Still pinned: a defer from another thread must not run yet.
-            let ran = Arc::new(AtomicUsize::new(0));
-            {
-                let ran = Arc::clone(&ran);
-                std::thread::spawn(move || {
-                    let guard = pin();
-                    guard.defer(move || {
-                        ran.fetch_add(1, SeqCst);
-                    });
-                })
-                .join()
-                .unwrap();
-            }
-            collect();
-            assert_eq!(ran.load(SeqCst), 0, "outer pin still active");
-            drop(outer);
-            flush();
-            assert_eq!(ran.load(SeqCst), 1);
-        }
-    }
-}
-
-/// Atomic utilities (mirror of `crossbeam::atomic`, reduced to the
-/// versioned [`ArcCell`](atomic::ArcCell) the peer-publication path
-/// needs).
-pub mod atomic {
-    use crate::epoch;
-    use std::sync::atomic::{AtomicPtr, Ordering::SeqCst};
-    use std::sync::Arc;
-
-    /// Immutable published state: a version counter plus the value. Never
-    /// mutated after publication; replaced wholesale by swaps.
-    struct Node<T> {
-        version: u64,
-        value: Option<Arc<T>>,
-    }
-
-    /// A raw node pointer being shipped to a deferred destructor.
-    struct Retired<T>(*mut Node<T>);
-    // SAFETY: the pointee is an unaliased `Box<Node<T>>` by the time the
-    // destructor runs (epoch reclamation guarantees no reader still holds
-    // it), and `Node<T>` itself is `Send` when `T: Send + Sync`.
-    unsafe impl<T: Send + Sync> Send for Retired<T> {}
-
-    impl<T> Retired<T> {
-        fn free(self) {
-            // SAFETY: `self.0` came from `Box::into_raw` and epoch
-            // reclamation delayed this call past every pin that could
-            // still dereference it.
-            unsafe { drop(Box::from_raw(self.0)) }
-        }
-    }
-
-    /// A versioned atomic `Option<Arc<T>>` slot (the `crossbeam` 0.2-era
-    /// `ArcCell` shape, extended with a version token).
-    ///
-    /// Loads are wait-free: one epoch pin, one pointer load, one `Arc`
-    /// clone — no shared-line read-modify-write, so any number of readers
-    /// scale without contention. Every successful write replaces the
-    /// published node with one whose version is exactly `old + 1`, so a
-    /// slot's version sequence is strictly increasing and a version value
-    /// names one historical node uniquely. That makes
-    /// [`compare_version_swap`](Self::compare_version_swap) an ABA-proof
-    /// optimistic publish: observe `(value, version)` with
-    /// [`load_versioned`](Self::load_versioned), compute off to the side,
-    /// then install only if the slot still holds that exact version.
-    pub struct ArcCell<T> {
-        ptr: AtomicPtr<Node<T>>,
-    }
-
-    // SAFETY: all access to the shared node goes through atomic pointer
-    // ops + epoch reclamation; the payload is only ever handed out as a
-    // cloned `Arc<T>`, so `T: Send + Sync` suffices.
-    unsafe impl<T: Send + Sync> Send for ArcCell<T> {}
-    unsafe impl<T: Send + Sync> Sync for ArcCell<T> {}
-
-    impl<T: Send + Sync + 'static> ArcCell<T> {
-        /// New slot holding `value` at version 0.
-        pub fn new(value: Option<Arc<T>>) -> Self {
-            Self {
-                ptr: AtomicPtr::new(Box::into_raw(Box::new(Node { version: 0, value }))),
-            }
-        }
-
-        /// Wait-free snapshot of the current value.
-        pub fn load(&self) -> Option<Arc<T>> {
-            self.load_versioned().0
-        }
-
-        /// Wait-free snapshot under a caller-held pin. The pin is the
-        /// expensive part of a load (a seqcst announcement round-trip);
-        /// this variant lets one [`epoch::pin`] amortise across many
-        /// slot loads — a group-shaped read pays one announcement
-        /// instead of one per slot.
-        pub fn load_with(&self, _guard: &epoch::Guard) -> Option<Arc<T>> {
-            // SAFETY: the slot pointer is never null and the caller's
-            // pin keeps the node alive across the dereference.
-            let node = unsafe { &*self.ptr.load(SeqCst) };
-            node.value.clone()
-        }
-
-        /// Wait-free snapshot of the current `(value, version)` pair.
-        pub fn load_versioned(&self) -> (Option<Arc<T>>, u64) {
-            let guard = epoch::pin();
-            // SAFETY: the slot pointer is never null and the pin keeps the
-            // node alive across the dereference.
-            let node = unsafe { &*self.ptr.load(SeqCst) };
-            let out = (node.value.clone(), node.version);
-            drop(guard);
-            out
-        }
-
-        /// Unconditionally publishes `value`, returning the displaced
-        /// value. Retries internally on contention so the installed
-        /// version is always exactly `displaced + 1` (keeping the
-        /// version sequence strictly increasing even when racing
-        /// [`compare_version_swap`](Self::compare_version_swap) calls).
-        pub fn swap(&self, value: Option<Arc<T>>) -> Option<Arc<T>> {
-            let guard = epoch::pin();
-            let mut new = Box::new(Node { version: 0, value });
-            loop {
-                let cur_ptr = self.ptr.load(SeqCst);
-                // SAFETY: non-null; pin keeps it alive.
-                let cur = unsafe { &*cur_ptr };
-                new.version = cur.version + 1;
-                let new_ptr = Box::into_raw(new);
-                match self.ptr.compare_exchange(cur_ptr, new_ptr, SeqCst, SeqCst) {
-                    Ok(_) => {
-                        let displaced = cur.value.clone();
-                        let retired = Retired(cur_ptr);
-                        guard.defer(move || retired.free());
-                        drop(guard);
-                        return displaced;
-                    }
-                    Err(_) => {
-                        // SAFETY: the CAS failed, so `new_ptr` was never
-                        // published and we still own it exclusively.
-                        new = unsafe { Box::from_raw(new_ptr) };
-                    }
-                }
-            }
-        }
-
-        /// Publishes `value` only if the slot still holds
-        /// `expected_version` (as observed via
-        /// [`load_versioned`](Self::load_versioned)); returns whether the
-        /// install happened. On success the new version is
-        /// `expected_version + 1`. Version uniqueness plus the epoch pin
-        /// held from load to CAS make this immune to ABA: a matching
-        /// version is *the* node that was observed.
-        pub fn compare_version_swap(&self, expected_version: u64, value: Option<Arc<T>>) -> bool {
-            let guard = epoch::pin();
-            let cur_ptr = self.ptr.load(SeqCst);
-            // SAFETY: non-null; pin keeps it alive.
-            let cur = unsafe { &*cur_ptr };
-            if cur.version != expected_version {
-                return false;
-            }
-            let new_ptr = Box::into_raw(Box::new(Node {
-                version: expected_version + 1,
-                value,
-            }));
-            match self.ptr.compare_exchange(cur_ptr, new_ptr, SeqCst, SeqCst) {
-                Ok(_) => {
-                    let retired = Retired(cur_ptr);
-                    guard.defer(move || retired.free());
-                    true
-                }
-                Err(_) => {
-                    // SAFETY: never published; still exclusively ours.
-                    unsafe { drop(Box::from_raw(new_ptr)) };
-                    false
-                }
-            }
-        }
-    }
-
-    impl<T> Drop for ArcCell<T> {
-        fn drop(&mut self) {
-            // `&mut self` excludes concurrent readers of this slot, and the
-            // current node was never handed to `defer` (only displaced
-            // nodes are), so freeing it directly is sound.
-            // SAFETY: we own the only pointer to the current node.
-            unsafe { drop(Box::from_raw(*self.ptr.get_mut())) }
-        }
-    }
-
-    impl<T: Send + Sync + 'static> std::fmt::Debug for ArcCell<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            let (value, version) = self.load_versioned();
-            f.debug_struct("ArcCell")
-                .field("version", &version)
-                .field("occupied", &value.is_some())
-                .finish()
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn load_returns_what_was_stored() {
-            let _serial = crate::epoch_test_lock();
-            let cell = ArcCell::new(Some(Arc::new(7u32)));
-            assert_eq!(cell.load().as_deref(), Some(&7));
-            let (value, version) = cell.load_versioned();
-            assert_eq!(value.as_deref(), Some(&7));
-            assert_eq!(version, 0);
-        }
-
-        #[test]
-        fn load_with_shares_one_pin_across_slots() {
-            let _serial = crate::epoch_test_lock();
-            let a = ArcCell::new(Some(Arc::new(1u32)));
-            let b = ArcCell::new(Some(Arc::new(2u32)));
-            let guard = epoch::pin();
-            assert_eq!(a.load_with(&guard).as_deref(), Some(&1));
-            assert_eq!(b.load_with(&guard).as_deref(), Some(&2));
-            // A swap under the shared pin must still defer (not free) the
-            // displaced node, and the loaded value stays live.
-            let held = a.load_with(&guard);
-            a.swap(Some(Arc::new(3)));
-            assert_eq!(held.as_deref(), Some(&1));
-            assert_eq!(a.load_with(&guard).as_deref(), Some(&3));
-            drop(guard);
-            epoch::collect();
-        }
-
-        #[test]
-        fn swap_bumps_version_and_returns_displaced() {
-            let _serial = crate::epoch_test_lock();
-            let cell = ArcCell::new(None::<Arc<u32>>);
-            assert_eq!(cell.swap(Some(Arc::new(1))), None);
-            assert_eq!(cell.swap(Some(Arc::new(2))).as_deref(), Some(&1));
-            let (value, version) = cell.load_versioned();
-            assert_eq!(value.as_deref(), Some(&2));
-            assert_eq!(version, 2);
-        }
-
-        #[test]
-        fn compare_version_swap_rejects_stale_version() {
-            let _serial = crate::epoch_test_lock();
-            let cell = ArcCell::new(None::<Arc<u32>>);
-            let (_, v0) = cell.load_versioned();
-            assert!(cell.compare_version_swap(v0, Some(Arc::new(10))));
-            // The old observation is now stale.
-            assert!(!cell.compare_version_swap(v0, Some(Arc::new(99))));
-            assert_eq!(cell.load().as_deref(), Some(&10));
-        }
-
-        #[test]
-        fn loads_stay_consistent_under_concurrent_swaps() {
-            let _serial = crate::epoch_test_lock();
-            let cell = Arc::new(ArcCell::new(Some(Arc::new(0u64))));
-            std::thread::scope(|scope| {
-                for _ in 0..3 {
-                    let cell = Arc::clone(&cell);
-                    scope.spawn(move || {
-                        let mut last = 0;
-                        for _ in 0..2000 {
-                            let (value, version) = cell.load_versioned();
-                            let value = *value.expect("never cleared");
-                            assert!(version >= last, "versions are monotone per observer");
-                            assert!(value <= version, "value written at its version");
-                            last = version;
-                        }
-                    });
-                }
-                for _ in 0..2 {
-                    let cell = Arc::clone(&cell);
-                    scope.spawn(move || {
-                        for _ in 0..1000 {
-                            let (_, v) = cell.load_versioned();
-                            // Either CAS or unconditional swap; both keep
-                            // version strictly increasing.
-                            cell.compare_version_swap(v, Some(Arc::new(v + 1)));
-                        }
-                    });
-                }
-            });
-            crate::epoch::flush();
-        }
-
-        #[test]
-        fn racing_version_swaps_admit_exactly_one_winner() {
-            let _serial = crate::epoch_test_lock();
-            let cell = Arc::new(ArcCell::new(None::<Arc<u32>>));
-            let (_, v) = cell.load_versioned();
-            let winners: usize = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..8)
-                    .map(|i| {
-                        let cell = Arc::clone(&cell);
-                        scope
-                            .spawn(move || cell.compare_version_swap(v, Some(Arc::new(i))) as usize)
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            });
-            assert_eq!(winners, 1);
-            assert!(cell.load().is_some());
         }
     }
 }

@@ -98,9 +98,9 @@
 //!   `ingest_ratings`, whose kernel cost model (co-rating mass of the
 //!   per-event deltas vs one symmetric rewarm) picks delta replay or
 //!   the blanket invalidation per batch; `PeerIndex::generation` is
-//!   the freshness token guarding in-flight fills, and slots publish
-//!   epoch-style (wait-free reader loads, CAS installs), so warms
-//!   overlap serving. `docs/ARCHITECTURE.md` documents the three
+//!   the freshness token guarding in-flight fills, and each slot
+//!   publishes under its own lock (a read waits at most for one slot's
+//!   replace; fills install by version CAS), so warms overlap serving. `docs/ARCHITECTURE.md` documents the three
 //!   peer-build paths and the full update-path contract.
 //! * **Parallelism.** Every parallel loop (index warming, per-candidate
 //!   Equation 1, `recommend_batch` group fan-out) is an order-preserving
