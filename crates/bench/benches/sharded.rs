@@ -24,7 +24,9 @@ use fairrec_similarity::{
 use fairrec_types::{Parallelism, ShardSpec, ShardedRatingMatrix, UserId};
 use std::hint::black_box;
 
-const SHARD_COUNTS: [u32; 2] = [4, 8];
+/// `1` is the engine's default store; its row against
+/// `monolithic_symmetric` is the `sharded_vs_mono_1` ratio.
+const SHARD_COUNTS: [u32; 3] = [1, 4, 8];
 
 fn fixture(num_users: u32) -> SyntheticDataset {
     SyntheticDataset::generate(

@@ -47,12 +47,10 @@ pub use greedy::{algorithm1, plain_top_z, Selection, SelectionStep};
 pub use group::Group;
 pub use pool::CandidatePool;
 pub use predictions::{
-    compute_group_predictions, compute_group_predictions_from_peers,
-    compute_group_predictions_with_index, GroupPredictionConfig, GroupPredictions,
+    compute_group_predictions, compute_group_predictions_from_peers, GroupPredictionConfig,
+    GroupPredictions,
 };
 pub use proportionality::{greedy_proportional, ProportionalityEvaluator};
-pub use recommend::{
-    single_user_top_k, single_user_top_k_from_peers, single_user_top_k_with_index,
-};
+pub use recommend::{single_user_top_k, single_user_top_k_from_peers};
 pub use relevance::{PreparedPeers, RelevancePredictor};
 pub use swap::swap_refine;

@@ -124,13 +124,11 @@ impl GroupPredictions {
     }
 }
 
-/// Runs the full prediction phase for `group`.
-///
-/// This is the one-shot form: it builds a transient [`PeerIndex`] and
-/// delegates to [`compute_group_predictions_with_index`], so every peer
-/// computation — one-shot or cached — flows through the same path. A
-/// serving loop should hold a long-lived index and call the `_with_index`
-/// variant directly to amortise the peer scans across requests.
+/// Runs the full prediction phase for `group` — the one-shot
+/// monolithic form: Definition 1 from a transient [`PeerIndex`], then
+/// the shared tail [`compute_group_predictions_from_peers`]. A serving
+/// engine holds a long-lived index instead, resolves the members' peers
+/// there and calls the tail directly; this form is its reference oracle.
 ///
 /// # Errors
 /// Propagates [`fairrec_types::FairrecError::UnknownUser`] when a group
@@ -142,29 +140,14 @@ pub fn compute_group_predictions<S: BulkUserSimilarity + ?Sized>(
     group: &Group,
     config: GroupPredictionConfig,
 ) -> Result<GroupPredictions> {
-    let index = PeerIndex::new(*selector, matrix.num_users());
-    compute_group_predictions_with_index(matrix, measure, &index, group, config)
-}
-
-/// Runs the full prediction phase for `group`, serving Definition 1 from
-/// a caller-held [`PeerIndex`] (cold entries are computed and memoized on
-/// the way).
-///
-/// # Errors
-/// Propagates [`fairrec_types::FairrecError::UnknownUser`] when a group
-/// member lies outside the matrix's user space.
-pub fn compute_group_predictions_with_index<S: BulkUserSimilarity + ?Sized>(
-    matrix: &RatingMatrix,
-    measure: &S,
-    index: &PeerIndex,
-    group: &Group,
-    config: GroupPredictionConfig,
-) -> Result<GroupPredictions> {
-    for &m in group.members() {
-        if m.raw() >= matrix.num_users() {
-            return Err(fairrec_types::FairrecError::UnknownUser { user: m });
-        }
+    if let Some(&user) = group
+        .members()
+        .iter()
+        .find(|m| m.raw() >= matrix.num_users())
+    {
+        return Err(fairrec_types::FairrecError::UnknownUser { user });
     }
+    let index = PeerIndex::new(*selector, matrix.num_users());
     compute_group_predictions_from_peers(
         matrix,
         index.group_peers(measure, group.members()),
@@ -175,8 +158,8 @@ pub fn compute_group_predictions_with_index<S: BulkUserSimilarity + ?Sized>(
 
 /// The Equation-1 + Definition-2 phase over **pre-resolved** peer lists —
 /// the common tail every Definition-1 source funnels into: the monolithic
-/// [`PeerIndex`] (via
-/// [`compute_group_predictions_with_index`]) and the sharded index, whose
+/// [`PeerIndex`] (via [`compute_group_predictions`]) and the sharded
+/// index, whose
 /// scatter-gather lookup lives in `fairrec-similarity` and hands the
 /// merged per-member lists in here. `peers` must hold one
 /// `(member, masked peer list)` entry per group member, in member order —

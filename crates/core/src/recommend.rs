@@ -10,11 +10,10 @@ use crate::relevance::RelevancePredictor;
 use fairrec_similarity::{BulkUserSimilarity, PeerIndex, PeerSelector};
 use fairrec_types::{FairrecError, RatingMatrix, RatingsRead, Result, ScoredItem, UserId};
 
-/// Recommends the top-k unrated items for a single user.
-///
-/// One-shot form: builds a transient [`PeerIndex`] and delegates to
-/// [`single_user_top_k_with_index`], keeping a single peer-computation
-/// path. Serving loops should hold a long-lived index instead.
+/// Recommends the top-k unrated items for a single user — the one-shot
+/// monolithic form: Definition 1 from a transient [`PeerIndex`], then
+/// [`single_user_top_k_from_peers`]. Serving loops hold a long-lived
+/// index instead.
 ///
 /// # Errors
 /// [`FairrecError::UnknownUser`] when `user` lies outside the matrix's
@@ -27,25 +26,6 @@ pub fn single_user_top_k<S: BulkUserSimilarity + ?Sized>(
     k: usize,
 ) -> Result<Vec<ScoredItem>> {
     let index = PeerIndex::new(*selector, matrix.num_users());
-    single_user_top_k_with_index(matrix, measure, &index, user, k)
-}
-
-/// Recommends the top-k unrated items for a single user, serving
-/// Definition 1 from a caller-held [`PeerIndex`].
-///
-/// # Errors
-/// [`FairrecError::UnknownUser`] when `user` lies outside the matrix's
-/// user space.
-pub fn single_user_top_k_with_index<S: BulkUserSimilarity + ?Sized>(
-    matrix: &RatingMatrix,
-    measure: &S,
-    index: &PeerIndex,
-    user: UserId,
-    k: usize,
-) -> Result<Vec<ScoredItem>> {
-    if user.raw() >= matrix.num_users() {
-        return Err(FairrecError::UnknownUser { user });
-    }
     single_user_top_k_from_peers(matrix, &index.peers_of(measure, user), user, k)
 }
 

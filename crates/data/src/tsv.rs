@@ -108,7 +108,9 @@ pub fn write_profiles<W: Write>(store: &PhrStore, ontology: &Ontology, out: &mut
 /// Reads profiles written by [`write_profiles`].
 ///
 /// # Errors
-/// [`FairrecError::Parse`] on malformed lines or unknown problem codes.
+/// [`FairrecError::Parse`] on malformed lines or unknown problem codes;
+/// [`FairrecError::InvalidParameter`] for the reserved user id
+/// `4294967295` (`u32::MAX`), exactly as [`read_ratings`] rejects it.
 pub fn read_profiles<R: BufRead>(input: R, ontology: &Ontology) -> Result<PhrStore> {
     let mut store = PhrStore::new();
     for (lineno, line) in input.lines().enumerate() {
@@ -128,6 +130,14 @@ pub fn read_profiles<R: BufRead>(input: R, ontology: &Ontology) -> Result<PhrSto
         let user: u32 = fields[0]
             .parse()
             .map_err(|_| FairrecError::parse_at(lineno, format!("bad user id {:?}", fields[0])))?;
+        if user == u32::MAX {
+            // The store is dense by user id: the sentinel has no `id + 1`
+            // to size it with (and would ask for a 2³²-entry vector).
+            return Err(FairrecError::invalid_parameter(
+                "user",
+                "id u32::MAX would overflow the user id space",
+            ));
+        }
         let gender = match fields[1] {
             "female" => Gender::Female,
             "male" => Gender::Male,
@@ -341,6 +351,8 @@ mod tests {
             ("1\trobot\t44\t\t\t\n", "bad gender"),
             ("1\tmale\txx\t\t\t\n", "bad age"),
             ("1\tmale\t44\tBOGUS\t\t\n", "unknown problem code"),
+            // The sentinel id has no `id + 1` to size the dense store with.
+            ("4294967295\tfemale\t-\t\t\t\n", "invalid parameter `user`"),
         ];
         for (text, needle) in cases {
             let err = read_profiles(BufReader::new(text.as_bytes()), &ont).unwrap_err();

@@ -101,16 +101,19 @@ pub struct EngineConfig {
     /// single-threaded execution for determinism tests and tiny
     /// workloads.
     pub parallelism: Parallelism,
-    /// `Some(S)` hash-partitions the user universe into `S` shards: the
-    /// rating matrix is split per user, cold peer warms decompose into
-    /// per-shard-pair kernel tasks, and every request's peer lookups
-    /// route to each member's owning shard (scatter-gather). Results are
-    /// **bitwise identical** to the monolithic index for any `S`. Only
-    /// supported with [`SimilarityKind::Ratings`] — the shard kernels
-    /// are the inverted-index Pearson passes; profile/semantic measures
-    /// do not derive from the rating relation, so partitioning it would
-    /// not shard their work. `None` (the default) keeps the monolithic
-    /// [`fairrec_similarity::PeerIndex`].
+    /// The number of user shards `S` of the engine's one store and one
+    /// peer index: the rating matrix is split per user, cold peer warms
+    /// decompose into per-shard-pair kernel tasks, and every request's
+    /// peer lookups route to each member's owning shard
+    /// (scatter-gather). Results are **bitwise identical** to the
+    /// monolithic computation for any `S`. `None` (the default) ≡
+    /// `Some(1)`: the input matrix moves whole into a single shard under
+    /// the identity remap, at the monolithic cost. Every similarity
+    /// backend runs at `S = 1`; `S > 1` is only supported with
+    /// [`SimilarityKind::Ratings`] — the shard kernels are the
+    /// inverted-index Pearson passes, and profile/semantic measures do
+    /// not derive from the rating relation, so partitioning it would
+    /// not shard their work.
     pub num_shards: Option<u32>,
     /// Batch-ingestion maintenance route: cost-model-driven
     /// ([`IngestPolicy::Adaptive`], the default) or the unconditional
@@ -166,10 +169,10 @@ impl EngineConfig {
                     "must be ≥ 1 when set",
                 ));
             }
-            if !matches!(self.similarity, SimilarityKind::Ratings) {
+            if shards > 1 && !matches!(self.similarity, SimilarityKind::Ratings) {
                 return Err(FairrecError::invalid_parameter(
                     "num_shards",
-                    "sharding requires the ratings similarity backend \
+                    "more than one shard requires the ratings similarity backend \
                      (the shard kernels are rating-matrix passes)",
                 ));
             }

@@ -2,16 +2,26 @@
 //!
 //! Construction is where all heavy lifting happens: the configured
 //! similarity backend is built **once** (sharing the engine's data via
-//! `Arc`, so no per-request rebuilds), and a [`PeerIndex`] is attached
-//! through which every request path — group, single-user, batched —
-//! resolves Definition 1. The index fills lazily on first use and can be
-//! pre-filled with [`RecommenderEngine::warm_peer_index`]. The rating
-//! relation is live: single ratings stream in through
-//! [`RecommenderEngine::ingest_rating`], which patches the matrix in
-//! place and repairs the peer cache incrementally
-//! ([`fairrec_similarity::PeerIndex::apply_delta`]) instead of dropping
-//! it; [`RecommenderEngine::remove_rating`] is the shrink counterpart
-//! over the same delta machinery; [`RecommenderEngine::ingest_ratings`]
+//! `Arc`, so no per-request rebuilds), and a [`ShardedPeerIndex`] is
+//! attached through which every request path — group, single-user,
+//! batched — resolves Definition 1. The index fills lazily on first use
+//! and can be pre-filled with [`RecommenderEngine::warm_peer_index`].
+//!
+//! There is one store and one index: the rating relation is a
+//! [`ShardedRatingMatrix`] and the peer cache a [`ShardedPeerIndex`],
+//! both over `S` user shards ([`EngineConfig::num_shards`], `None` ≡
+//! `S = 1`). At `S = 1` the input matrix moves into the single shard
+//! under the identity remap — no copy, and every id lookup is O(1) — so
+//! the unsharded engine is the `S = 1` case of the same code, not a
+//! second path. Every similarity backend runs at `S = 1`; only `Ratings`
+//! shards further.
+//!
+//! The rating relation is live: single ratings stream in through
+//! [`RecommenderEngine::ingest_rating`], which patches the owning shard
+//! in place and repairs the peer cache incrementally
+//! ([`ShardedPeerIndex::apply_delta`]) instead of dropping it;
+//! [`RecommenderEngine::remove_rating`] is the shrink counterpart over
+//! the same delta machinery; [`RecommenderEngine::ingest_ratings`]
 //! routes bulk loads through a kernel cost model — per-event delta
 //! replay below the computed mass threshold, blanket invalidation above
 //! it — and [`RecommenderEngine::invalidate_peers`] remains the manual
@@ -24,21 +34,19 @@ use fairrec_core::greedy::{algorithm1, plain_top_z, Selection};
 use fairrec_core::group::Group;
 use fairrec_core::pool::CandidatePool;
 use fairrec_core::predictions::{
-    compute_group_predictions_from_peers, compute_group_predictions_with_index,
-    GroupPredictionConfig, GroupPredictions,
+    compute_group_predictions_from_peers, GroupPredictionConfig, GroupPredictions,
 };
-use fairrec_core::recommend::{single_user_top_k_from_peers, single_user_top_k_with_index};
+use fairrec_core::recommend::single_user_top_k_from_peers;
 use fairrec_core::swap::swap_refine;
 use fairrec_ontology::Ontology;
 use fairrec_phr::PhrStore;
 use fairrec_similarity::{
-    BulkUserSimilarity, DeltaOutcome, HybridSimilarity, PeerIndex, PeerSelector, Peers,
-    ProfileSimilarity, RatingsSimilarity, Rescale01, SemanticSimilarity, ShardedPeerIndex,
-    ShardedRatingsSimilarity, UserSimilarity,
+    BulkUserSimilarity, DeltaOutcome, HybridSimilarity, PeerSelector, ProfileSimilarity, Rescale01,
+    SemanticSimilarity, ShardedPeerIndex, ShardedRatingsSimilarity, UserSimilarity,
 };
 use fairrec_types::{
-    FairrecError, ItemId, Parallelism, Rating, RatingMatrix, RatingMatrixBuilder, RatingTriple,
-    RatingsRead, Result, ScoredItem, ShardSpec, ShardedRatingMatrix, UserId,
+    FairrecError, ItemId, Parallelism, Rating, RatingMatrix, RatingTriple, RatingsRead, Result,
+    ScoredItem, ShardSpec, ShardedRatingMatrix, UserId,
 };
 use std::sync::Arc;
 
@@ -110,7 +118,7 @@ pub enum IngestOp {
 /// How [`RecommenderEngine::ingest_rating`] kept the peer cache fresh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerMaintenance {
-    /// The exact incremental path ran ([`PeerIndex::apply_delta`]): the
+    /// The exact incremental path ran ([`ShardedPeerIndex::apply_delta`]): the
     /// user's list was recomputed with one kernel pass and `touched`
     /// warm endpoint lists were spliced in place. Everything else stayed
     /// warm.
@@ -126,14 +134,14 @@ pub enum PeerMaintenance {
     /// universe — a newly added id can score against existing users
     /// there, which stales every list computed over the old universe.
     /// The `Ratings` backend never reports this: it grows the universe
-    /// in place ([`PeerIndex::grow_universe`], warm lists preserved — a
+    /// in place ([`ShardedPeerIndex::grow_universe`], warm lists preserved — a
     /// user with no ratings had no defined pairs) and reports the delta
     /// outcome instead.
     UniverseGrown,
     /// The insert grew the user id space under a `Profile` / `Semantic`
     /// backend: instead of the cold rebuild, every preserved warm list
     /// was **revalidated** in place against the appended ids
-    /// ([`PeerIndex::grow_universe_revalidated`] — each new id's
+    /// ([`ShardedPeerIndex::grow_universe_revalidated`] — each new id's
     /// similarity is probed against every warm slot and spliced in at
     /// its canonical position), leaving lists bitwise identical to a
     /// cold rebuild over the grown universe while keeping the cache
@@ -198,7 +206,7 @@ pub struct BatchIngestReport {
 }
 
 /// Transient backend installed while the matrix is patched: dropping the
-/// real backend releases its `Arc<RatingMatrix>` clone, making the
+/// real backend releases its `Arc<ShardedRatingMatrix>` clone, making the
 /// engine's handle unique so the patch happens in place (no matrix copy).
 /// Never serves a request — the real backend is rebuilt before the
 /// ingest call returns.
@@ -221,8 +229,7 @@ impl BulkUserSimilarity for DetachedMeasure {}
 /// fan-outs, the streaming [`Server`](crate::Server)), is reported to
 /// the installed observer *after* assembly and *before* the result is
 /// returned, together with a [`RatingsRead`] view of the engine's
-/// store (monolithic or sharded — the observer never sees the
-/// difference).
+/// store (the observer never sees the shard count).
 ///
 /// Implementations are called concurrently from the request fan-out and
 /// must be cheap on the common path — `fairrec-metrics`'
@@ -240,261 +247,26 @@ pub trait RecommendationObserver: Send + Sync {
     );
 }
 
-/// The engine's rating relation: monolithic, or hash-partitioned into
-/// compacted per-shard matrices ([`EngineConfig::num_shards`]). The
-/// sharded form is **the only copy** of the data — every read routes to
-/// the owning shard (or S-way-merges the per-shard columns through
-/// [`RatingsRead`]), and ingest mutates only the owning shard; there is
-/// no monolithic shadow matrix anywhere in the sharded engine.
-#[derive(Debug, Clone)]
-pub enum RatingStore {
-    /// One process-wide matrix.
-    Mono(Arc<RatingMatrix>),
-    /// One compacted matrix per shard, global reads owner-routed.
-    Sharded(Arc<ShardedRatingMatrix>),
-}
-
-impl RatingStore {
-    /// Size of the (global) user id space.
-    pub fn num_users(&self) -> u32 {
-        match self {
-            Self::Mono(m) => m.num_users(),
-            Self::Sharded(s) => s.num_users(),
-        }
-    }
-
-    /// Size of the (global) item id space.
-    pub fn num_items(&self) -> u32 {
-        match self {
-            Self::Mono(m) => m.num_items(),
-            Self::Sharded(s) => s.num_items(),
-        }
-    }
-
-    /// Total stored ratings.
-    pub fn num_ratings(&self) -> usize {
-        match self {
-            Self::Mono(m) => m.num_ratings(),
-            Self::Sharded(s) => s.num_ratings(),
-        }
-    }
-
-    /// Looks up `rating(user, item)` (owner-routed when sharded).
-    pub fn rating(&self, user: UserId, item: ItemId) -> Option<f64> {
-        match self {
-            Self::Mono(m) => m.rating(user, item),
-            Self::Sharded(s) => s.rating(user, item),
-        }
-    }
-
-    /// Whether `(user, item)` is stored (owner-routed when sharded).
-    pub fn has_rated(&self, user: UserId, item: ItemId) -> bool {
-        match self {
-            Self::Mono(m) => m.has_rated(user, item),
-            Self::Sharded(s) => s.has_rated(user, item),
-        }
-    }
-
-    /// The full sorted triple relation.
-    pub fn to_triples(&self) -> Vec<RatingTriple> {
-        match self {
-            Self::Mono(m) => m.to_triples(),
-            Self::Sharded(s) => s.to_triples(),
-        }
-    }
-
-    /// Co-rating mass of `user` — `Σ_{i ∈ I(user)} |U(i)|`, the stored
-    /// ratings one one-vs-all kernel pass from `user` scans (see
-    /// [`RatingMatrix::co_rating_mass`]; owner-routed degrees when
-    /// sharded). The ingestion cost model prices one delta replay at
-    /// this figure.
-    pub fn co_rating_mass(&self, user: UserId) -> u64 {
-        match self {
-            Self::Mono(m) => m.co_rating_mass(user),
-            Self::Sharded(s) => s.co_rating_mass(user),
-        }
-    }
-
-    /// Total co-rating mass `Σ_i |U(i)|²` — see
-    /// [`RatingMatrix::total_co_rating_mass`]. Half of it prices the
-    /// symmetric rewarm a blanket invalidation implies.
-    pub fn total_co_rating_mass(&self) -> u64 {
-        match self {
-            Self::Mono(m) => m.total_co_rating_mass(),
-            Self::Sharded(s) => s.total_co_rating_mass(),
-        }
-    }
-
-    /// The store as the [`RatingsRead`] view the Equation-1 tail is
-    /// generic over.
-    pub fn reads(&self) -> &dyn RatingsRead {
-        match self {
-            Self::Mono(m) => m.as_ref(),
-            Self::Sharded(s) => s.as_ref(),
-        }
-    }
-
-    /// The monolithic matrix, when this store is monolithic.
-    pub fn as_mono(&self) -> Option<&Arc<RatingMatrix>> {
-        match self {
-            Self::Mono(m) => Some(m),
-            Self::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded partition, when this store is sharded.
-    pub fn as_sharded(&self) -> Option<&Arc<ShardedRatingMatrix>> {
-        match self {
-            Self::Mono(_) => None,
-            Self::Sharded(s) => Some(s),
-        }
-    }
-
-    /// Re-materialises the relation as one monolithic [`RatingMatrix`]
-    /// with identical id-space dimensions — the oracle/rebuild helper
-    /// (e.g. seeding a fresh engine from a live one). Bitwise faithful:
-    /// the builder ingests the sorted triple relation, which is exactly
-    /// the order the original monolithic build summed in.
-    ///
-    /// # Errors
-    /// Propagates builder failures (cannot occur for a valid store).
-    pub fn to_monolithic(&self) -> Result<RatingMatrix> {
-        match self {
-            Self::Mono(m) => Ok(m.as_ref().clone()),
-            Self::Sharded(s) => {
-                let mut builder = RatingMatrixBuilder::with_capacity(s.num_ratings())
-                    .reserve_ids(s.num_users(), s.num_items());
-                for t in s.to_triples() {
-                    builder.add(t.user, t.item, t.rating);
-                }
-                builder.build()
-            }
-        }
-    }
-}
-
-/// The engine's Definition-1 serving backend: either the process-wide
-/// monolithic [`PeerIndex`] or its hash-partitioned scale-out form
-/// ([`ShardedPeerIndex`] with compacted per-shard slot spaces, enabled
-/// with [`EngineConfig::num_shards`]). Both serve bitwise-identical peer
-/// lists through the engine's one similarity backend; the facade methods
-/// below are the common surface request paths and tests read.
-pub enum PeerBackend {
-    /// One index over the whole universe.
-    Mono(PeerIndex),
-    /// One owned-users-only index per shard; lookups route to each
-    /// user's owning shard.
-    Sharded(ShardedPeerIndex),
-}
-
-impl PeerBackend {
-    /// Size of the user universe the backend answers for.
-    pub fn num_users(&self) -> u32 {
-        match self {
-            Self::Mono(index) => index.num_users(),
-            Self::Sharded(index) => index.num_users(),
-        }
-    }
-
-    /// Number of cached peer lists (for the sharded backend this counts
-    /// every shard's owned slots — the compacted layout has no
-    /// bookkeeping entries in non-owning shards).
-    pub fn num_cached(&self) -> usize {
-        match self {
-            Self::Mono(index) => index.num_cached(),
-            Self::Sharded(index) => index.num_cached(),
-        }
-    }
-
-    /// Monotone freshness token (the per-shard token sum for the sharded
-    /// backend).
-    pub fn generation(&self) -> u64 {
-        match self {
-            Self::Mono(index) => index.generation(),
-            Self::Sharded(index) => index.generation(),
-        }
-    }
-
-    /// The raw cached full list of `user`, if present (served from the
-    /// owning shard under the sharded backend).
-    pub fn cached_full(&self, user: UserId) -> Option<Arc<Peers>> {
-        match self {
-            Self::Mono(index) => index.cached_full(user),
-            Self::Sharded(index) => index.cached_full(user),
-        }
-    }
-
-    /// The memoized full peer list of `user`; cold misses resolve
-    /// through `measure` on either backend (the sharded index localises
-    /// the slot and runs the measure over the global universe).
-    pub fn full_peers<S: BulkUserSimilarity + ?Sized>(
-        &self,
-        measure: &S,
-        user: UserId,
-    ) -> Arc<Peers> {
-        match self {
-            Self::Mono(index) => index.full_peers(measure, user),
-            Self::Sharded(index) => index.full_peers(measure, user),
-        }
-    }
-
-    /// Drops every cached list (both backends bump their tokens first).
-    pub fn invalidate_all(&self) {
-        match self {
-            Self::Mono(index) => index.invalidate_all(),
-            Self::Sharded(index) => index.invalidate_all(),
-        }
-    }
-
-    /// The monolithic index, when this backend is monolithic.
-    pub fn as_mono(&self) -> Option<&PeerIndex> {
-        match self {
-            Self::Mono(index) => Some(index),
-            Self::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded index, when this backend is sharded.
-    pub fn as_sharded(&self) -> Option<&ShardedPeerIndex> {
-        match self {
-            Self::Mono(_) => None,
-            Self::Sharded(index) => Some(index),
-        }
-    }
-}
-
-impl std::fmt::Debug for PeerBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Mono(index) => f.debug_tuple("Mono").field(index).finish(),
-            Self::Sharded(index) => f
-                .debug_struct("Sharded")
-                .field("num_shards", &index.num_shards())
-                .field("num_cached", &index.num_cached())
-                .finish(),
-        }
-    }
-}
-
 /// The engine: owns the dataset, the similarity backend (built once at
-/// construction), and the shared [`PeerIndex`], and serves
+/// construction), and the shared [`ShardedPeerIndex`], and serves
 /// recommendations over them.
 pub struct RecommenderEngine {
-    store: RatingStore,
+    /// The one copy of the rating relation, `S` compacted shards.
+    store: Arc<ShardedRatingMatrix>,
     profiles: Arc<PhrStore>,
     ontology: Arc<Ontology>,
     config: EngineConfig,
     /// tf-idf vectors are corpus-wide; built once.
     profile_sim: Arc<ProfileSimilarity>,
     /// The configured similarity backend, built once over `Arc`s of the
-    /// engine's data — the scatter-gather sharded Pearson when the store
-    /// is partitioned. Bulk-capable: cold peer fills run the backend's
+    /// engine's data (Pearson is the scatter-gather sharded kernel, a
+    /// single pass at `S = 1`). Bulk-capable: cold peer fills run the backend's
     /// one-vs-all path (the inverted-index kernel for `Ratings`, per-pair
     /// fallbacks elsewhere).
     measure: Box<dyn BulkUserSimilarity + Send + Sync>,
-    /// Cached Definition-1 peer lists (monolithic or sharded); every
-    /// request path goes through it.
-    peers: PeerBackend,
+    /// Cached Definition-1 peer lists, one slot per user in its owning
+    /// shard; every request path goes through it.
+    peers: ShardedPeerIndex,
     /// The runtime-monitoring hook: every successful group
     /// recommendation is reported here (see [`RecommendationObserver`]).
     observer: Option<Arc<dyn RecommendationObserver>>,
@@ -516,10 +288,10 @@ impl std::fmt::Debug for RecommenderEngine {
 impl RecommenderEngine {
     /// Builds the engine: validates the configuration, builds the tf-idf
     /// profile vectors, the configured similarity backend, and a cold
-    /// [`PeerIndex`] — all exactly once. With
-    /// [`EngineConfig::num_shards`] set, the input matrix is partitioned
-    /// into the compacted sharded store and **dropped** — the sharded
-    /// engine keeps no monolithic copy.
+    /// [`ShardedPeerIndex`] — all exactly once. The input matrix becomes
+    /// the `S`-shard store ([`EngineConfig::num_shards`], `None` ≡
+    /// `S = 1`): at `S = 1` it moves in whole, otherwise it is
+    /// partitioned and **dropped** — the engine keeps no second copy.
     ///
     /// # Errors
     /// Propagates [`EngineConfig::validate`] failures.
@@ -530,13 +302,8 @@ impl RecommenderEngine {
         config: EngineConfig,
     ) -> Result<Self> {
         config.validate()?;
-        let store = match config.num_shards {
-            Some(shards) => {
-                let spec = ShardSpec::new(shards)?;
-                RatingStore::Sharded(Arc::new(ShardedRatingMatrix::from_matrix(&matrix, spec)?))
-            }
-            None => RatingStore::Mono(Arc::new(matrix)),
-        };
+        let spec = ShardSpec::new(config.num_shards.unwrap_or(1))?;
+        let store = Arc::new(ShardedRatingMatrix::from_owned(matrix, spec)?);
         let profiles = Arc::new(profiles);
         let ontology = Arc::new(ontology);
         let profile_sim = Arc::new(ProfileSimilarity::build(&profiles, &ontology));
@@ -545,16 +312,7 @@ impl RecommenderEngine {
         if let Some(cap) = config.max_peers {
             selector = selector.with_max_peers(cap);
         }
-        let peers = match &store {
-            RatingStore::Sharded(sharded) => PeerBackend::Sharded(ShardedPeerIndex::new(
-                selector,
-                sharded.spec(),
-                sharded.num_users(),
-            )),
-            RatingStore::Mono(matrix) => {
-                PeerBackend::Mono(PeerIndex::new(selector, matrix.num_users()))
-            }
-        };
+        let peers = ShardedPeerIndex::new(selector, spec, store.num_users());
         Ok(Self {
             store,
             profiles,
@@ -587,33 +345,21 @@ impl RecommenderEngine {
 
     /// Builds the configured similarity backend over shared handles of
     /// the engine's data, so it lives as long as the engine without
-    /// self-referential borrows. A sharded store gets the scatter-gather
-    /// sharded Pearson (config validation pins sharding to the `Ratings`
-    /// backend — the shard kernels are rating-matrix passes).
+    /// self-referential borrows. Pearson — alone or as `Hybrid`'s ratings
+    /// term — is the scatter-gather sharded kernel (config validation
+    /// keeps the other backends at `S = 1`, where it is one pass).
     fn build_measure(
         config: &EngineConfig,
-        store: &RatingStore,
+        store: &Arc<ShardedRatingMatrix>,
         profiles: &Arc<PhrStore>,
         ontology: &Arc<Ontology>,
         profile_sim: &Arc<ProfileSimilarity>,
     ) -> Box<dyn BulkUserSimilarity + Send + Sync> {
-        let mono = || {
-            Arc::clone(
-                store
-                    .as_mono()
-                    .expect("validated: non-ratings backends run on a monolithic store"),
-            )
+        let pearson = || {
+            ShardedRatingsSimilarity::new(Arc::clone(store)).with_min_overlap(config.min_overlap)
         };
         match config.similarity {
-            SimilarityKind::Ratings => match store {
-                RatingStore::Mono(matrix) => Box::new(
-                    RatingsSimilarity::new(Arc::clone(matrix)).with_min_overlap(config.min_overlap),
-                ),
-                RatingStore::Sharded(sharded) => Box::new(
-                    ShardedRatingsSimilarity::new(Arc::clone(sharded))
-                        .with_min_overlap(config.min_overlap),
-                ),
-            },
+            SimilarityKind::Ratings => Box::new(pearson()),
             SimilarityKind::Profile => Box::new(Arc::clone(profile_sim)),
             SimilarityKind::Semantic => Box::new(SemanticSimilarity::new(
                 Arc::clone(profiles),
@@ -625,12 +371,7 @@ impl RecommenderEngine {
                 semantic,
             } => Box::new(
                 HybridSimilarity::new()
-                    .with(
-                        Rescale01::new(
-                            RatingsSimilarity::new(mono()).with_min_overlap(config.min_overlap),
-                        ),
-                        ratings,
-                    )
+                    .with(Rescale01::new(pearson()), ratings)
                     .with(Arc::clone(profile_sim), profile)
                     .with(
                         SemanticSimilarity::new(Arc::clone(profiles), Arc::clone(ontology)),
@@ -640,8 +381,9 @@ impl RecommenderEngine {
         }
     }
 
-    /// The rating store (monolithic, or the compacted shard partition).
-    pub fn ratings(&self) -> &RatingStore {
+    /// The rating store: the compacted `S`-shard partition (one shard
+    /// holding the whole matrix at `S = 1`).
+    pub fn ratings(&self) -> &ShardedRatingMatrix {
         &self.store
     }
 
@@ -672,44 +414,36 @@ impl RecommenderEngine {
         &self.profile_sim
     }
 
-    /// The shared peer backend (monolithic or sharded index).
-    pub fn peer_index(&self) -> &PeerBackend {
+    /// The shared peer index.
+    pub fn peer_index(&self) -> &ShardedPeerIndex {
         &self.peers
     }
 
     /// Eagerly computes every user's peer list (fanned out across the
     /// configured parallelism), so later requests are pure cache hits.
-    /// On a fully cold index with a bitwise-symmetric backend (the
-    /// `Ratings` kernel), this takes the symmetric bulk warm — one
-    /// upper-triangle kernel pass per user fills both endpoints' lists;
-    /// the sharded backend decomposes that triangle into per-shard-pair
-    /// tasks on the worker pool. Otherwise it degrades to the per-user
-    /// bulk warm. Returns the number of lists computed.
+    /// On a fully cold index under the bitwise-symmetric `Ratings`
+    /// kernel this takes the symmetric bulk warm — one upper-triangle
+    /// pass fills both endpoints' lists, decomposed into shard-pair
+    /// tasks on the worker pool. The other backends (and a partially
+    /// warm index) take the per-user bulk warm. Returns the number of
+    /// lists computed.
     pub fn warm_peer_index(&self) -> usize {
-        match &self.peers {
-            PeerBackend::Mono(index) => {
-                index.warm_symmetric(&self.measure, self.config.parallelism)
+        let parallelism = self.config.parallelism;
+        match self.config.similarity {
+            SimilarityKind::Ratings => {
+                // The shard-pair warm needs the typed measure; the boxed
+                // one is the same measure, type-erased.
+                let pearson = ShardedRatingsSimilarity::new(Arc::clone(&self.store))
+                    .with_min_overlap(self.config.min_overlap);
+                self.peers.warm_symmetric(&pearson, parallelism)
             }
-            PeerBackend::Sharded(index) => {
-                index.warm_symmetric(&self.sharded_measure(), self.config.parallelism)
-            }
+            _ => self.peers.warm(&self.measure, parallelism),
         }
     }
 
-    /// The concrete scatter-gather measure over the sharded store — the
-    /// typed handle the shard-pair warm needs (the boxed engine measure
-    /// is the same measure, type-erased). Only callable on a sharded
-    /// store; cheap (an `Arc` clone plus configuration).
-    fn sharded_measure(&self) -> ShardedRatingsSimilarity {
-        let sharded = self
-            .store
-            .as_sharded()
-            .expect("sharded measure requires the sharded store");
-        ShardedRatingsSimilarity::new(Arc::clone(sharded)).with_min_overlap(self.config.min_overlap)
-    }
-
     /// Drops every cached peer list — the blanket maintenance path for
-    /// bulk data changes; see the [`PeerIndex`] update-path contract.
+    /// bulk data changes; see the
+    /// [`PeerIndex`](fairrec_similarity::PeerIndex) update-path contract.
     /// Single rating changes should go through
     /// [`ingest_rating`](Self::ingest_rating) instead, which keeps the
     /// warm index and repairs only the affected lists.
@@ -717,22 +451,12 @@ impl RecommenderEngine {
         self.peers.invalidate_all();
     }
 
-    /// The group's masked Definition-1 peer lists from whichever backend
-    /// is configured — the per-member fan-out of the serving path (each
-    /// member routes to its owning shard under the sharded backend).
-    fn group_peer_lists(&self, group: &[UserId]) -> Vec<(UserId, Peers)> {
-        match &self.peers {
-            PeerBackend::Mono(index) => index.group_peers(&self.measure, group),
-            PeerBackend::Sharded(index) => index.group_peers(&self.measure, group),
-        }
-    }
-
     /// Ingests one live rating — inserting a new `(user, item)` fact or
     /// updating an existing one — and keeps the peer cache exact without
     /// a blanket invalidation wherever possible:
     ///
     /// * `Ratings` backend — the delta path: the user's pre-change list
-    ///   is materialised (satisfying [`PeerIndex::apply_delta`]'s
+    ///   is materialised (satisfying [`ShardedPeerIndex::apply_delta`]'s
     ///   exactness precondition), the matrix is patched in place, and
     ///   `apply_delta` splices the refreshed edges into the warm lists.
     ///   Subsequent requests serve results bitwise identical to a fresh
@@ -744,8 +468,8 @@ impl RecommenderEngine {
     ///   blanket invalidation runs.
     /// * A first rating by a brand-new user: under the `Ratings` backend
     ///   the index universe grows **in place**
-    ///   ([`PeerIndex::grow_universe`] — warm lists stay valid, since a
-    ///   user with no ratings had no defined pairs) and the ordinary
+    ///   ([`ShardedPeerIndex::grow_universe`] — warm lists stay valid,
+    ///   since a user with no ratings had no defined pairs) and the ordinary
     ///   delta runs; other backends that read ratings rebuild the index
     ///   cold over the grown universe
     ///   ([`PeerMaintenance::UniverseGrown`]).
@@ -789,39 +513,23 @@ impl RecommenderEngine {
         // materialises the user's pre-change list as the empty list,
         // which is exactly what keeps the subsequent delta exact.
         if delta_capable && user.raw() >= self.peers.num_users() {
-            self.grow_peer_universe(user.raw() + 1);
+            self.peers = self.peers.grow_universe(user.raw() + 1);
         }
         // Exactness precondition of `apply_delta`: the user's pre-change
         // list must be cached whenever any list is. Materialise it
         // through the ordinary lazy-fill path while the store still
-        // holds pre-change data (a cache hit on a warm index; the
-        // sharded index fills only the owning shard's slot).
-        if delta_capable && self.peers.num_cached() > 0 {
-            match &self.peers {
-                PeerBackend::Mono(index) => {
-                    let _ = index.full_peers(&self.measure, user);
-                }
-                PeerBackend::Sharded(index) => index.prepare_delta(&self.measure, user),
-            }
+        // holds pre-change data (a cache hit on a warm index; only the
+        // owning shard's slot fills).
+        if delta_capable {
+            self.peers.prepare_delta(&self.measure, user);
         }
-        // One write, to the one copy of the data: the sharded store
-        // routes the point mutation to the owning shard alone.
-        let previous = self.patch_store(|store| match store {
-            RatingStore::Mono(matrix) => {
-                let matrix = Arc::make_mut(matrix);
-                if is_update {
-                    matrix.update_rating(user, item, rating).map(Some)
-                } else {
-                    matrix.insert_rating(user, item, rating).map(|()| None)
-                }
-            }
-            RatingStore::Sharded(sharded) => {
-                let sharded = Arc::make_mut(sharded);
-                if is_update {
-                    sharded.update_rating(user, item, rating).map(Some)
-                } else {
-                    sharded.insert_rating(user, item, rating).map(|()| None)
-                }
+        // One write, to the one copy of the data, routed to the owning
+        // shard alone.
+        let previous = self.patch_store(|store| {
+            if is_update {
+                store.update_rating(user, item, rating).map(Some)
+            } else {
+                store.insert_rating(user, item, rating).map(|()| None)
             }
         })?;
         let peers = self.refresh_peers_after(user, delta_capable);
@@ -839,7 +547,7 @@ impl RecommenderEngine {
     /// one rating at a time). The peer maintenance is the same exact
     /// machinery as [`ingest_rating`](Self::ingest_rating): the user's
     /// pre-change list is materialised, the matrix row shrinks in
-    /// place, and [`PeerIndex::apply_delta`] splices the refreshed
+    /// place, and [`ShardedPeerIndex::apply_delta`] splices the refreshed
     /// edges into every warm endpoint list — subsequent requests serve
     /// bitwise what a fresh engine over the shrunk relation would. The
     /// id spaces never shrink (the user keeps existing, possibly with
@@ -858,18 +566,10 @@ impl RecommenderEngine {
         let delta_capable = matches!(self.config.similarity, SimilarityKind::Ratings);
         // Same exactness precondition as the insert/update path: the
         // pre-change list must be cached whenever any list is.
-        if delta_capable && self.peers.num_cached() > 0 {
-            match &self.peers {
-                PeerBackend::Mono(index) => {
-                    let _ = index.full_peers(&self.measure, user);
-                }
-                PeerBackend::Sharded(index) => index.prepare_delta(&self.measure, user),
-            }
+        if delta_capable {
+            self.peers.prepare_delta(&self.measure, user);
         }
-        let previous = self.patch_store(|store| match store {
-            RatingStore::Mono(matrix) => Arc::make_mut(matrix).remove_rating(user, item),
-            RatingStore::Sharded(sharded) => Arc::make_mut(sharded).remove_rating(user, item),
-        })?;
+        let previous = self.patch_store(|store| store.remove_rating(user, item))?;
         let peers = self.refresh_peers_after(user, delta_capable);
         Ok(IngestReport {
             op: IngestOp::Removed { previous },
@@ -994,34 +694,17 @@ impl RecommenderEngine {
                 n_users = n_users.max(user.raw() + 1);
                 n_items = n_items.max(item.raw() + 1);
             }
-            match store {
-                RatingStore::Mono(matrix) => {
-                    let mut builder = RatingMatrixBuilder::with_capacity(relation.len())
-                        .reserve_ids(n_users, n_items);
-                    for ((user, item), rating) in relation {
-                        builder.add(user, item, rating);
-                    }
-                    *matrix = Arc::new(builder.build()?);
-                }
-                RatingStore::Sharded(sharded) => {
-                    // Straight to the partitioned form — the batch path
-                    // never materialises a transient monolithic matrix.
-                    let triples: Vec<RatingTriple> = relation
-                        .into_iter()
-                        .map(|((user, item), rating)| RatingTriple { user, item, rating })
-                        .collect();
-                    *sharded = Arc::new(ShardedRatingMatrix::from_triples(
-                        &triples,
-                        sharded.spec(),
-                        n_users,
-                        n_items,
-                    )?);
-                }
-            }
+            // Straight to the partitioned form — the batch path never
+            // materialises a transient monolithic matrix.
+            let triples: Vec<RatingTriple> = relation
+                .into_iter()
+                .map(|((user, item), rating)| RatingTriple { user, item, rating })
+                .collect();
+            *store = ShardedRatingMatrix::from_triples(&triples, store.spec(), n_users, n_items)?;
             Ok(())
         })?;
         if self.store.num_users() > self.peers.num_users() {
-            self.rebuild_peers_cold(self.store.num_users());
+            self.peers = self.peers.rebuild_cold(self.store.num_users());
         } else if self.ratings_feed_measure() {
             self.peers.invalidate_all();
         }
@@ -1031,36 +714,6 @@ impl RecommenderEngine {
             delta_mass,
             blanket_mass,
         })
-    }
-
-    /// Grows the peer universe in place (warm lists preserved — see
-    /// [`PeerIndex::grow_universe`]), whichever backend is configured.
-    fn grow_peer_universe(&mut self, num_users: u32) {
-        match &mut self.peers {
-            PeerBackend::Mono(index) => {
-                let grown = index.grow_universe(num_users);
-                *index = grown;
-            }
-            PeerBackend::Sharded(index) => {
-                let grown = index.grow_universe(num_users);
-                *index = grown;
-            }
-        }
-    }
-
-    /// Replaces the peer index with a cold one over `num_users`,
-    /// generation-preserving ([`PeerIndex::rebuild_cold`] semantics).
-    fn rebuild_peers_cold(&mut self, num_users: u32) {
-        match &mut self.peers {
-            PeerBackend::Mono(index) => {
-                let rebuilt = index.rebuild_cold(num_users);
-                *index = rebuilt;
-            }
-            PeerBackend::Sharded(index) => {
-                let rebuilt = index.rebuild_cold(num_users);
-                *index = rebuilt;
-            }
-        }
     }
 
     /// Rejects the sentinel ids the `raw() + 1` id-space sizing cannot
@@ -1100,7 +753,10 @@ impl RecommenderEngine {
     /// guard so that a panic inside `patch` cannot leave the placeholder
     /// installed — an engine caught mid-unwind by a per-request panic
     /// handler must not silently serve empty peer lists forever after.
-    fn patch_store<T>(&mut self, patch: impl FnOnce(&mut RatingStore) -> Result<T>) -> Result<T> {
+    fn patch_store<T>(
+        &mut self,
+        patch: impl FnOnce(&mut ShardedRatingMatrix) -> Result<T>,
+    ) -> Result<T> {
         struct RestoreMeasure<'a>(&'a mut RecommenderEngine);
         impl Drop for RestoreMeasure<'_> {
             fn drop(&mut self) {
@@ -1115,7 +771,7 @@ impl RecommenderEngine {
         }
         self.measure = Box::new(DetachedMeasure);
         let guard = RestoreMeasure(self);
-        patch(&mut guard.0.store)
+        patch(Arc::make_mut(&mut guard.0.store))
         // `guard` drops here (normally or on unwind), rebuilding the
         // backend over whatever the store now holds.
     }
@@ -1140,18 +796,12 @@ impl RecommenderEngine {
                 self.config.similarity,
                 SimilarityKind::Profile | SimilarityKind::Semantic
             ) {
-                match &mut self.peers {
-                    PeerBackend::Mono(index) => {
-                        let grown = index.grow_universe_revalidated(&self.measure, num_users);
-                        *index = grown;
-                    }
-                    PeerBackend::Sharded(_) => {
-                        unreachable!("validated: non-ratings backends are monolithic")
-                    }
-                }
+                self.peers = self
+                    .peers
+                    .grow_universe_revalidated(&self.measure, num_users);
                 return PeerMaintenance::UniverseGrownRevalidated;
             }
-            self.rebuild_peers_cold(num_users);
+            self.peers = self.peers.rebuild_cold(num_users);
             return PeerMaintenance::UniverseGrown;
         }
         if !self.ratings_feed_measure() {
@@ -1161,11 +811,7 @@ impl RecommenderEngine {
             self.peers.invalidate_all();
             return PeerMaintenance::InvalidatedAll;
         }
-        let outcome = match &self.peers {
-            PeerBackend::Mono(index) => index.apply_delta(&self.measure, user),
-            PeerBackend::Sharded(index) => index.apply_delta(&self.measure, user).outcome,
-        };
-        match outcome {
+        match self.peers.apply_delta(&self.measure, user) {
             DeltaOutcome::Spliced { touched } => PeerMaintenance::DeltaSpliced { touched },
             DeltaOutcome::ColdIndex => PeerMaintenance::IndexCold,
             // Universe growth is handled above, so the delta user is
@@ -1176,7 +822,7 @@ impl RecommenderEngine {
     }
 
     /// The prediction phase (Equation 1 + Definition 2), in memory
-    /// through the configured peer backend.
+    /// through the peer index.
     ///
     /// # Errors
     /// Propagates prediction failures (unknown members etc.).
@@ -1184,11 +830,10 @@ impl RecommenderEngine {
         self.in_memory_predictions(group, self.config.parallelism)
     }
 
-    /// The in-memory prediction phase, routed through whichever peer
-    /// backend is configured. Both routes funnel into the same
-    /// Equation-1 tail
-    /// ([`compute_group_predictions_from_peers`]); the sharded route
-    /// resolves each member's peers on their owning shard first.
+    /// The in-memory prediction phase: each member's peers resolve on
+    /// their owning shard, then the Equation-1 tail
+    /// ([`compute_group_predictions_from_peers`]) reads the store's rows
+    /// — monomorphised over [`ShardedRatingMatrix`], not a `dyn` view.
     fn in_memory_predictions(
         &self,
         group: &Group,
@@ -1199,24 +844,13 @@ impl RecommenderEngine {
             missing: self.config.missing,
             parallelism,
         };
-        match &self.peers {
-            PeerBackend::Mono(index) => {
-                let matrix = self
-                    .store
-                    .as_mono()
-                    .expect("a monolithic peer index runs on a monolithic store");
-                compute_group_predictions_with_index(matrix, &self.measure, index, group, cfg)
-            }
-            PeerBackend::Sharded(_) => {
-                self.check_known_members(group)?;
-                compute_group_predictions_from_peers(
-                    self.store.reads(),
-                    self.group_peer_lists(group.members()),
-                    group,
-                    cfg,
-                )
-            }
-        }
+        self.check_known_members(group)?;
+        compute_group_predictions_from_peers(
+            self.store.as_ref(),
+            self.peers.group_peers(&self.measure, group.members()),
+            group,
+            cfg,
+        )
     }
 
     /// Rejects a group holding a user outside the store's user space.
@@ -1396,24 +1030,13 @@ impl RecommenderEngine {
     }
 
     /// Single-user top-k recommendation (§III-A), served through the
-    /// shared peer backend.
+    /// shared peer index.
     ///
     /// # Errors
     /// Propagates unknown-user failures.
     pub fn recommend_for_user(&self, user: UserId, k: usize) -> Result<Vec<ScoredItem>> {
-        match &self.peers {
-            PeerBackend::Mono(index) => {
-                let matrix = self
-                    .store
-                    .as_mono()
-                    .expect("a monolithic peer index runs on a monolithic store");
-                single_user_top_k_with_index(matrix, &self.measure, index, user, k)
-            }
-            PeerBackend::Sharded(index) => {
-                let peers = index.peers_of(&self.measure, user);
-                single_user_top_k_from_peers(self.store.reads(), &peers, user, k)
-            }
-        }
+        let peers = self.peers.peers_of(&self.measure, user);
+        single_user_top_k_from_peers(self.store.as_ref(), &peers, user, k)
     }
 
     /// Batched group serving: recommends a top-z package for every group,
@@ -1544,25 +1167,109 @@ mod tests {
         assert_eq!(ids.len(), 8);
     }
 
+    const ALL_KINDS: [SimilarityKind; 4] = [
+        SimilarityKind::Ratings,
+        SimilarityKind::Profile,
+        SimilarityKind::Semantic,
+        SimilarityKind::Hybrid {
+            ratings: 1.0,
+            profile: 1.0,
+            semantic: 1.0,
+        },
+    ];
+
+    /// The one-shot monolithic path of fairrec-core over a matrix
+    /// rebuilt from `e`'s relation, through `e`'s own measure kind:
+    /// `(group package, single-user top-k, cold per-user warm lists)`.
+    fn monolithic_oracle(
+        e: &RecommenderEngine,
+        g: &Group,
+        z: usize,
+        user: UserId,
+    ) -> (
+        GroupRecommendation,
+        Vec<ScoredItem>,
+        fairrec_similarity::PeerIndex,
+    ) {
+        use fairrec_core::predictions::compute_group_predictions;
+        use fairrec_core::recommend::single_user_top_k;
+        use fairrec_similarity::{PeerIndex, RatingsSimilarity};
+        let m = Arc::new(e.ratings().to_monolithic().unwrap());
+        let pearson = || RatingsSimilarity::new(Arc::clone(&m)).with_min_overlap(2);
+        let measure: Box<dyn BulkUserSimilarity + Send + Sync> = match e.config().similarity {
+            SimilarityKind::Ratings => Box::new(pearson()),
+            SimilarityKind::Profile => Box::new(Arc::clone(&e.profile_sim)),
+            SimilarityKind::Semantic => Box::new(SemanticSimilarity::new(
+                Arc::clone(&e.profiles),
+                Arc::clone(&e.ontology),
+            )),
+            SimilarityKind::Hybrid {
+                ratings,
+                profile,
+                semantic,
+            } => Box::new(
+                HybridSimilarity::new()
+                    .with(Rescale01::new(pearson()), ratings)
+                    .with(Arc::clone(&e.profile_sim), profile)
+                    .with(
+                        SemanticSimilarity::new(Arc::clone(&e.profiles), Arc::clone(&e.ontology)),
+                        semantic,
+                    ),
+            ),
+        };
+        let mut selector = PeerSelector::new(e.config().delta).unwrap();
+        if let Some(cap) = e.config().max_peers {
+            selector = selector.with_max_peers(cap);
+        }
+        let cfg = GroupPredictionConfig {
+            aggregation: e.config().aggregation,
+            missing: e.config().missing,
+            parallelism: Parallelism::Sequential,
+        };
+        let predictions = compute_group_predictions(&m, &measure, &selector, g, cfg).unwrap();
+        let package = e.recommend_from_predictions(g, &predictions, z).unwrap();
+        let top_k = single_user_top_k(&m, &measure, &selector, user, 10).unwrap();
+        let index = PeerIndex::new(selector, m.num_users());
+        index.warm_symmetric(&measure, Parallelism::Sequential);
+        (package, top_k, index)
+    }
+
     #[test]
     fn all_similarity_kinds_produce_recommendations() {
-        for similarity in [
-            SimilarityKind::Ratings,
-            SimilarityKind::Profile,
-            SimilarityKind::Semantic,
-            SimilarityKind::Hybrid {
-                ratings: 1.0,
-                profile: 1.0,
-                semantic: 1.0,
-            },
-        ] {
-            let e = engine(EngineConfig {
-                similarity,
-                ..Default::default()
-            });
-            let g = group(&e);
-            let rec = e.recommend_for_group(&g, 5).unwrap();
-            assert_eq!(rec.items.len(), 5, "{similarity:?}");
+        // Every backend serves at S = 1 — `None` and `Some(1)` alike —
+        // bitwise what the monolithic one-shot path computes; only
+        // `Ratings` shards further.
+        for similarity in ALL_KINDS {
+            for num_shards in [None, Some(1), Some(2)] {
+                let config = EngineConfig {
+                    similarity,
+                    num_shards,
+                    ..Default::default()
+                };
+                if num_shards == Some(2) && similarity != SimilarityKind::Ratings {
+                    assert!(config.validate().is_err(), "{config:?}");
+                    continue;
+                }
+                let e = engine(config);
+                let g = group(&e);
+                let rec = e.recommend_for_group(&g, 5).unwrap();
+                assert_eq!(rec.items.len(), 5, "{similarity:?}");
+                let (package, top_k, index) = monolithic_oracle(&e, &g, 5, UserId::new(5));
+                assert_eq!(rec, package, "{similarity:?}, {num_shards:?}");
+                assert_eq!(
+                    e.recommend_for_user(UserId::new(5), 10).unwrap(),
+                    top_k,
+                    "{similarity:?}, {num_shards:?}"
+                );
+                e.warm_peer_index();
+                for u in (0..e.ratings().num_users()).map(UserId::new) {
+                    assert_eq!(
+                        e.peer_index().cached_full(u),
+                        index.cached_full(u),
+                        "{similarity:?}, {num_shards:?}, peer list of {u}"
+                    );
+                }
+            }
         }
     }
 
@@ -1693,52 +1400,6 @@ mod tests {
     }
 
     #[test]
-    fn ingest_stream_matches_fresh_engine_bitwise() {
-        let mut live = engine(EngineConfig::default());
-        live.warm_peer_index();
-        let g = group(&live);
-        // A stream of inserts and one update, touching group members and
-        // outsiders alike.
-        let events = [
-            (UserId::new(0), ItemId::new(140), 4.5),
-            (UserId::new(17), ItemId::new(3), 2.0),
-            (UserId::new(2), ItemId::new(141), 1.5),
-            (UserId::new(17), ItemId::new(3), 5.0), // update
-            (UserId::new(55), ItemId::new(7), 3.0),
-        ];
-        for &(u, i, s) in &events {
-            let report = live.ingest_rating(u, i, s).unwrap();
-            assert!(
-                matches!(
-                    report.peers,
-                    PeerMaintenance::DeltaSpliced { .. } | PeerMaintenance::IndexCold
-                ),
-                "ratings backend must take the delta path, got {report:?}"
-            );
-        }
-        assert_eq!(
-            live.peer_index().num_cached(),
-            live.ratings().num_users() as usize,
-            "the index must stay fully warm through a delta stream"
-        );
-
-        let fresh = rebuilt_engine(&live);
-        fresh.warm_peer_index();
-        for u in (0..live.ratings().num_users()).map(UserId::new) {
-            assert_eq!(
-                live.peer_index().cached_full(u),
-                fresh.peer_index().cached_full(u),
-                "peer list of {u}"
-            );
-        }
-        assert_eq!(
-            live.recommend_for_group(&g, 6).unwrap(),
-            fresh.recommend_for_group(&g, 6).unwrap(),
-            "served packages must be identical to a from-scratch engine"
-        );
-    }
-
-    #[test]
     fn ingest_reports_ops_and_universe_growth() {
         let mut e = engine(EngineConfig::default());
         e.warm_peer_index();
@@ -1796,9 +1457,15 @@ mod tests {
         // must not throw away the warm cache: every preserved list is
         // revalidated against the appended ids and stays bitwise what a
         // cold rebuild over the grown universe would serve.
-        for similarity in [SimilarityKind::Profile, SimilarityKind::Semantic] {
+        for (similarity, num_shards) in [
+            (SimilarityKind::Profile, None),
+            (SimilarityKind::Profile, Some(1)),
+            (SimilarityKind::Semantic, None),
+            (SimilarityKind::Semantic, Some(1)),
+        ] {
             let mut e = engine(EngineConfig {
                 similarity,
+                num_shards,
                 ..Default::default()
             });
             e.warm_peer_index();
@@ -1816,17 +1483,18 @@ mod tests {
                 warm,
                 "revalidated growth must keep every warm list ({similarity:?})"
             );
-            // Pinned: the preserved lists match a fresh engine warmed
-            // over the grown universe, bitwise.
-            let fresh = rebuilt_engine(&e);
-            fresh.warm_peer_index();
+            // Pinned: the preserved lists match the monolithic warm over
+            // the grown universe, bitwise, and so does what is served.
+            let g = group(&e);
+            let (package, _, index) = monolithic_oracle(&e, &g, 6, UserId::new(0));
             for u in (0..old_n).map(UserId::new) {
                 assert_eq!(
                     e.peer_index().cached_full(u).expect("preserved list"),
-                    fresh.peer_index().cached_full(u).expect("fresh warm list"),
-                    "peer list of {u} after revalidated growth ({similarity:?})"
+                    index.cached_full(u).expect("oracle warm list"),
+                    "peer list of {u} after revalidated growth ({similarity:?}, {num_shards:?})"
                 );
             }
+            assert_eq!(e.recommend_for_group(&g, 6).unwrap(), package);
         }
     }
 
@@ -1834,22 +1502,32 @@ mod tests {
     fn universe_growth_rebuilds_cold_for_hybrid() {
         // Hybrid mixes the (changed) rating relation into its scores, so
         // lists computed over the smaller universe cannot be kept.
-        let mut e = engine(EngineConfig {
-            similarity: SimilarityKind::Hybrid {
-                ratings: 0.5,
-                profile: 0.3,
-                semantic: 0.2,
-            },
-            ..Default::default()
-        });
-        e.warm_peer_index();
-        let grown = e.ratings().num_users() + 1;
-        let r = e
-            .ingest_rating(UserId::new(grown - 1), ItemId::new(0), 3.0)
-            .unwrap();
-        assert_eq!(r.peers, PeerMaintenance::UniverseGrown);
-        assert_eq!(e.peer_index().num_users(), grown);
-        assert_eq!(e.peer_index().num_cached(), 0);
+        for num_shards in [None, Some(1)] {
+            let mut e = engine(EngineConfig {
+                similarity: SimilarityKind::Hybrid {
+                    ratings: 0.5,
+                    profile: 0.3,
+                    semantic: 0.2,
+                },
+                num_shards,
+                ..Default::default()
+            });
+            e.warm_peer_index();
+            let grown = e.ratings().num_users() + 1;
+            let r = e
+                .ingest_rating(UserId::new(grown - 1), ItemId::new(0), 3.0)
+                .unwrap();
+            assert_eq!(r.peers, PeerMaintenance::UniverseGrown);
+            assert_eq!(e.peer_index().num_users(), grown);
+            assert_eq!(e.peer_index().num_cached(), 0);
+            let g = group(&e);
+            let (package, top_k, _) = monolithic_oracle(&e, &g, 6, UserId::new(grown - 1));
+            assert_eq!(e.recommend_for_group(&g, 6).unwrap(), package);
+            assert_eq!(
+                e.recommend_for_user(UserId::new(grown - 1), 10).unwrap(),
+                top_k
+            );
+        }
     }
 
     #[test]
@@ -1958,35 +1636,43 @@ mod tests {
 
     #[test]
     fn ingest_maintenance_depends_on_the_backend() {
-        // Profile/semantic backends never read ratings: warm stays warm.
-        for similarity in [SimilarityKind::Profile, SimilarityKind::Semantic] {
+        for num_shards in [None, Some(1)] {
+            // Profile/semantic backends never read ratings: warm stays
+            // warm.
+            for similarity in [SimilarityKind::Profile, SimilarityKind::Semantic] {
+                let mut e = engine(EngineConfig {
+                    similarity,
+                    num_shards,
+                    ..Default::default()
+                });
+                e.warm_peer_index();
+                let warm = e.peer_index().num_cached();
+                let r = e
+                    .ingest_rating(UserId::new(3), ItemId::new(149), 4.0)
+                    .unwrap();
+                assert_eq!(r.peers, PeerMaintenance::Unaffected, "{similarity:?}");
+                assert_eq!(e.peer_index().num_cached(), warm, "{similarity:?}");
+            }
+            // Hybrid reads ratings but is not bitwise symmetric: blanket.
             let mut e = engine(EngineConfig {
-                similarity,
+                similarity: SimilarityKind::Hybrid {
+                    ratings: 1.0,
+                    profile: 1.0,
+                    semantic: 1.0,
+                },
+                num_shards,
                 ..Default::default()
             });
             e.warm_peer_index();
-            let warm = e.peer_index().num_cached();
             let r = e
                 .ingest_rating(UserId::new(3), ItemId::new(149), 4.0)
                 .unwrap();
-            assert_eq!(r.peers, PeerMaintenance::Unaffected, "{similarity:?}");
-            assert_eq!(e.peer_index().num_cached(), warm, "{similarity:?}");
+            assert_eq!(r.peers, PeerMaintenance::InvalidatedAll);
+            assert_eq!(e.peer_index().num_cached(), 0);
+            let g = group(&e);
+            let (package, _, _) = monolithic_oracle(&e, &g, 6, UserId::new(3));
+            assert_eq!(e.recommend_for_group(&g, 6).unwrap(), package);
         }
-        // Hybrid reads ratings but is not bitwise symmetric: blanket.
-        let mut e = engine(EngineConfig {
-            similarity: SimilarityKind::Hybrid {
-                ratings: 1.0,
-                profile: 1.0,
-                semantic: 1.0,
-            },
-            ..Default::default()
-        });
-        e.warm_peer_index();
-        let r = e
-            .ingest_rating(UserId::new(3), ItemId::new(149), 4.0)
-            .unwrap();
-        assert_eq!(r.peers, PeerMaintenance::InvalidatedAll);
-        assert_eq!(e.peer_index().num_cached(), 0);
     }
 
     #[test]
@@ -2021,13 +1707,11 @@ mod tests {
         );
     }
 
-    /// The sharded engine must be bitwise interchangeable with the
-    /// monolithic one: same batches, same packages, same peer lists —
-    /// for every shard count, warm or cold.
+    /// The engine must serve bitwise what the monolithic one-shot path
+    /// computes: same batches, same packages, same peer lists — for
+    /// every shard count (`None` ≡ 1), warm or cold, uncapped or capped.
     #[test]
     fn sharded_engine_matches_monolithic_batches() {
-        let mono = engine(EngineConfig::default());
-        mono.warm_peer_index();
         let groups: Vec<Group> = (0..6u32)
             .map(|g| {
                 Group::new(
@@ -2041,42 +1725,54 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let want = mono.recommend_batch(&groups, 6).unwrap();
-        for shards in [1u32, 2, 3, 8] {
+        for (shards, max_peers) in [None, Some(1), Some(2), Some(3), Some(8)]
+            .into_iter()
+            .flat_map(|s| [(s, None), (s, Some(4))])
+        {
             let e = engine(EngineConfig {
-                num_shards: Some(shards),
+                num_shards: shards,
+                max_peers,
                 ..Default::default()
             });
+            let oracles: Vec<_> = groups
+                .iter()
+                .map(|g| monolithic_oracle(&e, g, 6, UserId::new(5)))
+                .collect();
+            let want: Vec<GroupRecommendation> = oracles
+                .iter()
+                .map(|(package, _, _)| package.clone())
+                .collect();
+            let (_, top_k, mono) = &oracles[0];
             // Cold path: lookups scatter-gather on the miss.
             assert_eq!(
                 e.recommend_batch(&groups, 6).unwrap(),
                 want,
-                "S={shards}, cold"
+                "S={shards:?}, cap {max_peers:?}, cold"
             );
             // Warm path: per-shard-pair symmetric warm, then cache hits.
             e.invalidate_peers();
             assert_eq!(
                 e.warm_peer_index(),
                 e.ratings().num_users() as usize,
-                "S={shards}"
+                "S={shards:?}"
             );
             assert_eq!(
                 e.recommend_batch(&groups, 6).unwrap(),
                 want,
-                "S={shards}, warm"
+                "S={shards:?}, cap {max_peers:?}, warm"
             );
             for u in (0..e.ratings().num_users()).map(UserId::new) {
                 assert_eq!(
                     e.peer_index().cached_full(u),
-                    mono.peer_index().cached_full(u),
-                    "S={shards}, peer list of {u}"
+                    mono.cached_full(u),
+                    "S={shards:?}, cap {max_peers:?}, peer list of {u}"
                 );
             }
             // Single-user serving routes through the same lists.
             assert_eq!(
-                e.recommend_for_user(UserId::new(5), 10).unwrap(),
-                mono.recommend_for_user(UserId::new(5), 10).unwrap(),
-                "S={shards}"
+                &e.recommend_for_user(UserId::new(5), 10).unwrap(),
+                top_k,
+                "S={shards:?}, cap {max_peers:?}"
             );
             assert!(e.recommend_for_user(UserId::new(9999), 5).is_err());
         }
@@ -2084,18 +1780,25 @@ mod tests {
 
     #[test]
     fn sharded_ingest_stream_matches_fresh_engine_bitwise() {
+        for num_shards in [None, Some(3)] {
+            ingest_stream_matches_fresh_engine(num_shards);
+        }
+    }
+
+    fn ingest_stream_matches_fresh_engine(num_shards: Option<u32>) {
         let mut live = engine(EngineConfig {
-            num_shards: Some(3),
+            num_shards,
             ..Default::default()
         });
         live.warm_peer_index();
         let g = group(&live);
-        // Inserts, an update, and a brand-new user growing the universe
-        // in place — the same stream shape as the monolithic test.
+        // Inserts touching group members and outsiders, an update, and a
+        // brand-new user growing the universe in place.
         let grown = live.ratings().num_users() + 2;
         let events = [
             (UserId::new(0), ItemId::new(140), 4.5),
             (UserId::new(17), ItemId::new(3), 2.0),
+            (UserId::new(2), ItemId::new(141), 1.5),
             (UserId::new(17), ItemId::new(3), 5.0), // update
             (UserId::new(grown - 1), ItemId::new(7), 3.0),
         ];
@@ -2103,13 +1806,15 @@ mod tests {
             let report = live.ingest_rating(u, i, s).unwrap();
             assert!(
                 matches!(report.peers, PeerMaintenance::DeltaSpliced { .. }),
-                "sharded ratings backend must stay on the delta path, got {report:?}"
+                "the ratings backend must stay on the delta path, got {report:?}"
             );
         }
         assert_eq!(live.peer_index().num_users(), grown);
         // The new user landed in (and is served from) its owning shard.
-        let sharded = live.peer_index().as_sharded().expect("sharded backend");
-        assert!(sharded.cached_full(UserId::new(grown - 1)).is_some());
+        assert!(live
+            .peer_index()
+            .cached_full(UserId::new(grown - 1))
+            .is_some());
 
         let fresh = rebuilt_engine(&live);
         fresh.warm_peer_index();
@@ -2127,7 +1832,7 @@ mod tests {
         assert_eq!(
             live.recommend_for_group(&g, 6).unwrap(),
             fresh.recommend_for_group(&g, 6).unwrap(),
-            "served packages must match a from-scratch sharded engine"
+            "served packages must match a from-scratch engine"
         );
 
         // Batch path, blanket route forced: one invalidation + shard

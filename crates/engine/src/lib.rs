@@ -28,7 +28,7 @@ mod serving;
 pub use config::{EngineConfig, IngestPolicy, SelectionAlgorithm, SimilarityKind};
 pub use engine::{
     BatchIngestReport, BatchPeerMaintenance, GroupRecommendation, IngestOp, IngestReport,
-    MemberSatisfaction, PeerBackend, PeerMaintenance, RatingStore, RecommendationObserver,
-    RecommendedItem, RecommenderEngine,
+    MemberSatisfaction, PeerMaintenance, RecommendationObserver, RecommendedItem,
+    RecommenderEngine,
 };
 pub use serving::{Server, ServerConfig, ServerStats, Ticket};

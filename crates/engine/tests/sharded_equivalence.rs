@@ -1,36 +1,43 @@
-//! Sharded ↔ monolithic engine equivalence pins.
+//! Engine ↔ monolithic-oracle equivalence pins.
 //!
-//! The sharded backend keeps **no monolithic copy** of the rating
-//! relation — reads are owner-routed across per-shard compacted
+//! The engine has one store and one index — `S` compacted user shards,
+//! `S = 1` by default — and keeps **no monolithic copy** of the rating
+//! relation: reads are owner-routed across per-shard compacted
 //! matrices, peer lists come off per-shard indexes over owned-user
 //! universes, and ingest mutates only the owning shard. These tests pin
 //! the contract that makes that safe:
 //!
 //! * for random operation streams (point ingests, removals, batch
 //!   ingests, mid-stream warms, group and single-user serving), an
-//!   engine sharded at S ∈ {1, 2, 3, 8} produces **bitwise** the
-//!   results of the monolithic engine, including new-user growth
-//!   mid-stream and `max_peers`-capped configurations (where the
-//!   capped splice rules and saturation degrades must agree too);
+//!   engine at every S ∈ {None, 1, 2, 3, 8} serves **bitwise** what
+//!   fairrec-core's one-shot monolithic path computes over a
+//!   [`RatingMatrix`] rebuilt from the stream's relation
+//!   (`compute_group_predictions` → `recommend_from_predictions`,
+//!   `single_user_top_k`, `PeerIndex::warm_symmetric` lists), including
+//!   new-user growth mid-stream and `max_peers`-capped configurations
+//!   (where the capped splice rules and saturation degrades must agree
+//!   too);
 //! * the per-shard metadata really is O(U/S): shard universes partition
 //!   the global id space, and no shard's user-axis footprint approaches
 //!   the monolithic one.
 
 use fairrec_core::group::Group;
+use fairrec_core::predictions::{compute_group_predictions, GroupPredictionConfig};
+use fairrec_core::recommend::single_user_top_k;
 use fairrec_data::{SyntheticConfig, SyntheticDataset};
 use fairrec_engine::{EngineConfig, RecommenderEngine};
 use fairrec_ontology::snomed::clinical_fragment;
-use fairrec_types::{GroupId, ItemId, UserId};
+use fairrec_similarity::{PeerIndex, PeerSelector, RatingsSimilarity};
+use fairrec_types::{GroupId, ItemId, Parallelism, RatingMatrix, UserId};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
 const NUM_USERS: u32 = 32;
 const NUM_ITEMS: u32 = 60;
-const SHARD_COUNTS: [u32; 4] = [1, 2, 3, 8];
+const SHARD_COUNTS: [Option<u32>; 5] = [None, Some(1), Some(2), Some(3), Some(8)];
 
-fn engine_with(num_shards: Option<u32>, max_peers: Option<usize>) -> RecommenderEngine {
-    let ontology = clinical_fragment();
-    let data = SyntheticDataset::generate(
+fn dataset() -> SyntheticDataset {
+    SyntheticDataset::generate(
         SyntheticConfig {
             num_users: NUM_USERS,
             num_items: NUM_ITEMS,
@@ -39,13 +46,17 @@ fn engine_with(num_shards: Option<u32>, max_peers: Option<usize>) -> Recommender
             seed: 23,
             ..Default::default()
         },
-        &ontology,
+        &clinical_fragment(),
     )
-    .unwrap();
+    .unwrap()
+}
+
+fn engine_with(num_shards: Option<u32>, max_peers: Option<usize>) -> RecommenderEngine {
+    let data = dataset();
     RecommenderEngine::new(
         data.matrix,
         data.profiles,
-        ontology,
+        clinical_fragment(),
         EngineConfig {
             num_shards,
             max_peers,
@@ -57,6 +68,52 @@ fn engine_with(num_shards: Option<u32>, max_peers: Option<usize>) -> Recommender
 
 fn engine(num_shards: Option<u32>) -> RecommenderEngine {
     engine_with(num_shards, None)
+}
+
+/// The one-shot monolithic path of fairrec-core over a [`RatingMatrix`]
+/// rebuilt from an engine's `to_triples()`, configured like the engine.
+struct Oracle {
+    matrix: RatingMatrix,
+    selector: PeerSelector,
+}
+
+impl Oracle {
+    fn of(engine: &RecommenderEngine) -> Self {
+        let mut selector = PeerSelector::new(engine.config().delta).unwrap();
+        if let Some(cap) = engine.config().max_peers {
+            selector = selector.with_max_peers(cap);
+        }
+        Self {
+            matrix: engine.ratings().to_monolithic().unwrap(),
+            selector,
+        }
+    }
+
+    fn measure(&self) -> RatingsSimilarity<&RatingMatrix> {
+        RatingsSimilarity::new(&self.matrix).with_min_overlap(EngineConfig::default().min_overlap)
+    }
+
+    fn predictions(&self, group: &Group) -> fairrec_core::predictions::GroupPredictions {
+        let defaults = EngineConfig::default();
+        let config = GroupPredictionConfig {
+            aggregation: defaults.aggregation,
+            missing: defaults.missing,
+            parallelism: Parallelism::Sequential,
+        };
+        compute_group_predictions(&self.matrix, &self.measure(), &self.selector, group, config)
+            .unwrap()
+    }
+
+    fn user_top_k(&self, user: UserId, k: usize) -> Vec<fairrec_types::ScoredItem> {
+        single_user_top_k(&self.matrix, &self.measure(), &self.selector, user, k).unwrap()
+    }
+
+    /// Every user's full list from a cold symmetric warm.
+    fn warm_index(&self) -> PeerIndex {
+        let index = PeerIndex::new(self.selector, self.matrix.num_users());
+        index.warm_symmetric(&self.measure(), Parallelism::Sequential);
+        index
+    }
 }
 
 /// One step of the random serving-plus-ingestion stream.
@@ -124,52 +181,44 @@ fn group_of(members: &[u32], id: u32) -> Group {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The tentpole pin: a monolithic engine and sharded engines at
-    /// every shard count consume the same operation stream and must
-    /// never disagree — not in ingest outcomes, not in removal
-    /// outcomes, not in any served result, not in the final batch
-    /// APIs. `cap` additionally runs the whole stream under a
-    /// `max_peers` cap, where the pre-capped cache, the capped splice
-    /// rules, and the saturation degrades must also agree bitwise.
+    /// The tentpole pin: engines at every shard count consume the same
+    /// operation stream and must never disagree with the one-shot
+    /// monolithic oracle over the stream's relation — not in ingest or
+    /// removal outcomes, not in any served result, not in the peer
+    /// lists, not in the final batch APIs. `cap` additionally runs the
+    /// whole stream under a `max_peers` cap, where the pre-capped
+    /// cache, the capped splice rules, and the saturation degrades must
+    /// also agree bitwise.
     #[test]
     fn sharded_engines_match_monolithic_bitwise(
         ops in proptest::collection::vec(op_strategy(), 1..20),
         cap in 0usize..4,
     ) {
         let max_peers = [None, Some(2), Some(3), Some(5)][cap];
-        let mut mono = engine_with(None, max_peers);
-        let mut sharded: Vec<RecommenderEngine> =
-            SHARD_COUNTS.iter().map(|&s| engine_with(Some(s), max_peers)).collect();
+        let mut engines: Vec<RecommenderEngine> =
+            SHARD_COUNTS.iter().map(|&s| engine_with(s, max_peers)).collect();
         let mut groups: Vec<Group> = Vec::new();
 
         for (step, op) in ops.iter().enumerate() {
             match op {
                 Op::Ingest { user, item, score } => {
-                    let expected = mono
-                        .ingest_rating(UserId::new(*user), ItemId::new(*item), *score)
-                        .unwrap();
-                    for (engine, s) in sharded.iter_mut().zip(SHARD_COUNTS) {
-                        let got = engine
-                            .ingest_rating(UserId::new(*user), ItemId::new(*item), *score)
-                            .unwrap();
-                        prop_assert_eq!(got.op, expected.op, "step {}: S={}", step, s);
+                    let (user, item) = (UserId::new(*user), ItemId::new(*item));
+                    let reports: Vec<_> = engines
+                        .iter_mut()
+                        .map(|e| e.ingest_rating(user, item, *score).unwrap().op)
+                        .collect();
+                    for (got, s) in reports.iter().zip(SHARD_COUNTS) {
+                        prop_assert_eq!(got, &reports[0], "step {}: S={:?}", step, s);
                     }
                 }
                 Op::Remove { user, item } => {
-                    let expected = mono.remove_rating(UserId::new(*user), ItemId::new(*item));
-                    for (engine, s) in sharded.iter_mut().zip(SHARD_COUNTS) {
-                        let got = engine.remove_rating(UserId::new(*user), ItemId::new(*item));
-                        match (&expected, &got) {
-                            (Ok(e), Ok(g)) => {
-                                prop_assert_eq!(g.op, e.op, "step {}: S={}", step, s);
-                            }
-                            (Err(_), Err(_)) => {}
-                            _ => prop_assert!(
-                                false,
-                                "step {}: S={} removal diverged: mono {:?} vs {:?}",
-                                step, s, expected.is_ok(), got.is_ok()
-                            ),
-                        }
+                    let (user, item) = (UserId::new(*user), ItemId::new(*item));
+                    let outcomes: Vec<_> = engines
+                        .iter_mut()
+                        .map(|e| e.remove_rating(user, item).ok().map(|r| r.op))
+                        .collect();
+                    for (got, s) in outcomes.iter().zip(SHARD_COUNTS) {
+                        prop_assert_eq!(got, &outcomes[0], "step {}: S={:?}", step, s);
                     }
                 }
                 Op::IngestBatch(batch) => {
@@ -177,69 +226,74 @@ proptest! {
                         .iter()
                         .map(|&(u, i, s)| (UserId::new(u), ItemId::new(i), s))
                         .collect();
-                    let expected = mono.ingest_ratings(triples.iter().copied()).unwrap();
-                    for (engine, s) in sharded.iter_mut().zip(SHARD_COUNTS) {
-                        let got = engine.ingest_ratings(triples.iter().copied()).unwrap();
-                        prop_assert_eq!(got, expected, "step {}: S={}", step, s);
+                    let reports: Vec<_> = engines
+                        .iter_mut()
+                        .map(|e| e.ingest_ratings(triples.iter().copied()).unwrap())
+                        .collect();
+                    for (got, s) in reports.iter().zip(SHARD_COUNTS) {
+                        prop_assert_eq!(got, &reports[0], "step {}: S={:?}", step, s);
                     }
                 }
                 Op::Warm => {
-                    mono.warm_peer_index();
-                    for engine in &sharded {
+                    for (engine, s) in engines.iter().zip(SHARD_COUNTS) {
+                        let oracle = Oracle::of(engine).warm_index();
                         engine.warm_peer_index();
+                        for u in (0..engine.ratings().num_users()).map(UserId::new) {
+                            let served = engine.peer_index().full_peers(engine.measure(), u);
+                            prop_assert_eq!(
+                                Some(served),
+                                oracle.cached_full(u),
+                                "step {}: S={:?}, peer list of {}", step, s, u
+                            );
+                        }
                     }
                 }
                 Op::Group { members, z } => {
                     let g = group_of(members, step as u32);
-                    let expected = mono.recommend_for_group(&g, *z).unwrap();
-                    for (engine, s) in sharded.iter().zip(SHARD_COUNTS) {
+                    for (engine, s) in engines.iter().zip(SHARD_COUNTS) {
+                        let predictions = Oracle::of(engine).predictions(&g);
+                        let expected = engine.recommend_from_predictions(&g, &predictions, *z).unwrap();
                         let got = engine.recommend_for_group(&g, *z).unwrap();
-                        prop_assert_eq!(&got, &expected, "step {}: S={}", step, s);
+                        prop_assert_eq!(&got, &expected, "step {}: S={:?}", step, s);
                     }
                     groups.push(g);
                 }
                 Op::User { user, k } => {
-                    let expected = mono.recommend_for_user(UserId::new(*user), *k).unwrap();
-                    for (engine, s) in sharded.iter().zip(SHARD_COUNTS) {
-                        let got = engine.recommend_for_user(UserId::new(*user), *k).unwrap();
-                        prop_assert_eq!(&got, &expected, "step {}: S={}", step, s);
+                    let user = UserId::new(*user);
+                    for (engine, s) in engines.iter().zip(SHARD_COUNTS) {
+                        let expected = Oracle::of(engine).user_top_k(user, *k);
+                        let got = engine.recommend_for_user(user, *k).unwrap();
+                        prop_assert_eq!(&got, &expected, "step {}: S={:?}", step, s);
                     }
                 }
             }
         }
 
-        // The relation itself must have converged identically: the
-        // sharded store is the only copy, so compare via the canonical
-        // triple dump.
-        for (engine, s) in sharded.iter().zip(SHARD_COUNTS) {
-            prop_assert_eq!(engine.ratings().to_triples(), mono.ratings().to_triples(), "S={}", s);
+        // The relation itself must have converged identically: the store
+        // is the only copy, so compare via the canonical triple dump.
+        for (engine, s) in engines.iter().zip(SHARD_COUNTS) {
+            prop_assert_eq!(
+                engine.ratings().to_triples(), engines[0].ratings().to_triples(), "S={:?}", s
+            );
         }
 
         // Batch serving funnels: same groups, one call, per-request
-        // results bitwise equal to the monolithic engine's.
-        if !groups.is_empty() {
-            let expected = mono.recommend_batch(&groups, 5).unwrap();
-            let requests: Vec<(Group, usize)> =
-                groups.iter().map(|g| (g.clone(), 4)).collect();
-            let expected_requests: Vec<_> = mono
-                .recommend_requests(&requests)
-                .into_iter()
-                .map(Result::unwrap)
-                .collect();
-            for (engine, s) in sharded.iter().zip(SHARD_COUNTS) {
-                prop_assert_eq!(
-                    &engine.recommend_batch(&groups, 5).unwrap(),
-                    &expected,
-                    "recommend_batch S={}",
-                    s
-                );
-                let got: Vec<_> = engine
-                    .recommend_requests(&requests)
-                    .into_iter()
-                    .map(Result::unwrap)
-                    .collect();
-                prop_assert_eq!(&got, &expected_requests, "recommend_requests S={}", s);
-            }
+        // results bitwise equal to the oracle's predictions served.
+        for (engine, s) in engines.iter().zip(SHARD_COUNTS) {
+            let oracle = Oracle::of(engine);
+            let served = |z| -> Vec<_> {
+                groups
+                    .iter()
+                    .map(|g| engine.recommend_from_predictions(g, &oracle.predictions(g), z).unwrap())
+                    .collect()
+            };
+            prop_assert_eq!(
+                &engine.recommend_batch(&groups, 5).unwrap(), &served(5), "recommend_batch S={:?}", s
+            );
+            let requests: Vec<(Group, usize)> = groups.iter().map(|g| (g.clone(), 4)).collect();
+            let got: Vec<_> =
+                engine.recommend_requests(&requests).into_iter().map(Result::unwrap).collect();
+            prop_assert_eq!(&got, &served(4), "recommend_requests S={:?}", s);
         }
     }
 }
@@ -252,8 +306,8 @@ proptest! {
 fn sharded_metadata_is_owned_sized_not_global_sized() {
     let e = engine(Some(8));
     let n = e.ratings().num_users();
-    let store = e.ratings().as_sharded().expect("sharded store");
-    let index = e.peer_index().as_sharded().expect("sharded index");
+    let store = e.ratings();
+    let index = e.peer_index();
 
     let universes = index.shard_universes();
     assert_eq!(universes.len(), 8);
@@ -279,22 +333,16 @@ fn sharded_metadata_is_owned_sized_not_global_sized() {
     let grown = n + 3;
     e.ingest_rating(UserId::new(grown - 1), ItemId::new(0), 3.0)
         .unwrap();
-    let index = e.peer_index().as_sharded().expect("sharded index");
     assert_eq!(
-        index.shard_universes().iter().sum::<u32>(),
+        e.peer_index().shard_universes().iter().sum::<u32>(),
         grown,
         "growth must stay a partition"
     );
 
     // Memory: the largest shard's user axis is a fraction of the
     // monolithic axis (≈ 20·U/S + c vs 16·U + c bytes).
-    let store = e.ratings().as_sharded().expect("sharded store");
-    let mono = engine(None);
-    let mono_axis = mono
-        .ratings()
-        .as_mono()
-        .expect("monolithic store")
-        .user_axis_bytes();
+    let store = e.ratings();
+    let mono_axis = store.to_monolithic().unwrap().user_axis_bytes();
     assert!(
         store.max_shard_user_axis_bytes() * 2 < mono_axis,
         "largest shard axis {} must be well under the monolithic axis {}",

@@ -26,12 +26,12 @@
 //!   [`RatingsSimilarity`] ships an inverted-index Pearson kernel whose
 //!   output is bitwise identical to the per-pair path (see the `bulk`
 //!   and `ratings` module docs),
-//! * [`ShardedPeerIndex`] / [`ShardedRatingsSimilarity`] — the
-//!   scale-out form of the two above: the user universe hash-partitioned
-//!   into shards, cold warms decomposed into per-shard-pair kernel
-//!   tasks, lookups routed to each user's owning shard — bitwise
-//!   identical to the monolithic index for any shard count (see the
-//!   `sharded` module docs).
+//! * [`ShardedPeerIndex`] / [`ShardedRatingsSimilarity`] — the engine's
+//!   one index and Pearson measure, over `S` user shards (one by
+//!   default, where they cost what the two above cost): cold warms
+//!   decomposed into per-shard-pair kernel tasks, lookups routed to
+//!   each user's owning shard — bitwise identical to the monolithic
+//!   index for any shard count (see the `sharded` module docs).
 //!
 //! A similarity may be *undefined* for a pair (no co-rated items, empty
 //! profiles, no recorded problems); measures return `Option<f64>` and
@@ -58,9 +58,7 @@ pub use peers::{PeerSelector, Peers};
 pub use profile::ProfileSimilarity;
 pub use ratings::RatingsSimilarity;
 pub use semantic::SemanticSimilarity;
-pub use sharded::{
-    shard_pair_edges, ShardedDeltaReport, ShardedPeerIndex, ShardedRatingsSimilarity,
-};
+pub use sharded::{shard_pair_edges, ShardedPeerIndex, ShardedRatingsSimilarity};
 
 use fairrec_types::UserId;
 

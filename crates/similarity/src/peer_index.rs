@@ -129,7 +129,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// from the *configured* parallelism, not the machine: several chunks
 /// per executing worker keep the pool load-balanced, and a sequential
 /// warm gets one chunk — one scratch — total.
-fn warm_chunk_size(total: usize, parallelism: Parallelism) -> usize {
+pub(crate) fn warm_chunk_size(total: usize, parallelism: Parallelism) -> usize {
     let workers = parallelism.num_workers();
     if workers <= 1 {
         return total.max(1);
@@ -371,65 +371,6 @@ impl PeerIndex {
         index
     }
 
-    /// Builds an index whose entries are precomputed **finished** full
-    /// peer lists: already δ-filtered, self-edge-free, duplicate-free,
-    /// and in canonical order (similarity descending, id ascending).
-    /// This is the fast path for swap-based warms that scatter edges
-    /// into per-user lists and canonicalise them once up front — unlike
-    /// [`from_edges`](Self::from_edges) there is no per-list sort, dedup,
-    /// or δ re-filter here, so the per-shard build is a pure move of the
-    /// lists into slots. Debug builds assert the canonical-order
-    /// contract; release builds trust the caller.
-    pub fn from_full_lists(
-        selector: PeerSelector,
-        num_users: u32,
-        lists: impl IntoIterator<Item = (UserId, Peers)>,
-    ) -> Self {
-        Self::from_mapped_full_lists(
-            selector,
-            num_users,
-            lists.into_iter().inspect(|(user, list)| {
-                debug_assert!(
-                    list.iter().all(|&(v, _)| v != *user),
-                    "from_full_lists requires self-edge-free lists for user {user}"
-                );
-            }),
-        )
-    }
-
-    /// [`from_full_lists`](Self::from_full_lists) for indexes whose slot
-    /// ids live in a *different* id space than the peer ids inside the
-    /// lists — the compacted sharded index stores shard-local slots whose
-    /// lists carry **global** peer ids, so the slot-vs-content self-edge
-    /// check of `from_full_lists` does not apply (the producing kernel
-    /// already skipped the self pair in global space). Canonical order
-    /// and δ-filtering are still asserted in debug builds.
-    pub(crate) fn from_mapped_full_lists(
-        selector: PeerSelector,
-        num_users: u32,
-        lists: impl IntoIterator<Item = (UserId, Peers)>,
-    ) -> Self {
-        let index = Self::new(selector, num_users);
-        for (user, mut list) in lists {
-            debug_assert!(
-                list.windows(2)
-                    .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)),
-                "from_full_lists requires canonical order (sim desc, id asc) for user {user}"
-            );
-            debug_assert!(
-                list.iter().all(|&(_, s)| s >= selector.delta),
-                "from_full_lists requires δ-filtered lists for user {user}"
-            );
-            if let Some(bound) = selector.cache_bound() {
-                list.truncate(bound);
-            }
-            if user.index() < index.slots.len() {
-                index.swap_slot(user.index(), Some(Arc::new(list)));
-            }
-        }
-        index
-    }
-
     /// Returns an index over a larger universe that keeps this index's
     /// cached lists and generation; the new slots start cold.
     ///
@@ -494,15 +435,32 @@ impl PeerIndex {
             num_users >= old_n,
             "universe can only grow ({old_n} -> {num_users})"
         );
+        let appended: Vec<UserId> = (old_n..num_users).map(UserId::new).collect();
+        self.revalidated(|slot| slot, measure, &appended, num_users)
+    }
+
+    /// The body of [`grow_universe_revalidated`](Self::grow_universe_revalidated)
+    /// over an explicit slot → user map: slot `l` caches the list of user
+    /// `user_of(l)`, every cached list is revalidated against the
+    /// `appended` user ids, and the result has `num_slots` slots (new
+    /// ones cold). A shard of the sharded index passes its remap here,
+    /// with every id appended to the *global* universe.
+    pub(crate) fn revalidated<S: UserSimilarity + ?Sized>(
+        &self,
+        user_of: impl Fn(UserId) -> UserId,
+        measure: &S,
+        appended: &[UserId],
+        num_slots: u32,
+    ) -> Self {
         let delta = self.selector.delta;
         let bound = self.selector.cache_bound();
         let mut cached = 0usize;
-        let mut slots: Vec<Slot> = Vec::with_capacity(num_users as usize);
+        let mut slots: Vec<Slot> = Vec::with_capacity(num_slots as usize);
         for (idx, slot) in self.slots.iter().enumerate() {
-            let v = UserId::new(idx as u32);
+            let v = user_of(UserId::new(idx as u32));
             let revalidated = slot.load().map(|list| {
                 let mut list: Peers = list.as_ref().clone();
-                for u in (old_n..num_users).map(UserId::new) {
+                for &u in appended {
                     let Some(s) = measure.similarity(v, u).filter(|&s| s >= delta) else {
                         continue;
                     };
@@ -521,7 +479,7 @@ impl PeerIndex {
             cached += usize::from(revalidated.is_some());
             slots.push(Slot::new(revalidated));
         }
-        slots.resize_with(num_users as usize, || Slot::new(None));
+        slots.resize_with(num_slots as usize, || Slot::new(None));
         Self {
             selector: self.selector,
             slots,
@@ -545,20 +503,6 @@ impl PeerIndex {
             generation: AtomicU64::new(self.generation() + 1),
             cached: AtomicUsize::new(0),
         }
-    }
-
-    /// Returns `self` with its generation token set to `generation` —
-    /// for swap-based maintenance flows that assemble a **replacement**
-    /// index (e.g. the sharded symmetric warm builds each shard's fresh
-    /// index from kernel edges via [`from_edges`](Self::from_edges), then
-    /// swaps it in) and must carry the replaced index's token forward so
-    /// downstream freshness checks stay monotonic, exactly as
-    /// [`rebuild_cold`](Self::rebuild_cold) does for the cold-rebuild
-    /// flow.
-    #[must_use]
-    pub fn with_generation(self, generation: u64) -> Self {
-        self.generation.store(generation, Ordering::Release);
-        self
     }
 
     /// The selector whose δ / cap this index answers with.
@@ -860,75 +804,14 @@ impl PeerIndex {
         measure: &S,
         user: UserId,
     ) -> DeltaOutcome {
-        if user.index() >= self.slots.len() {
-            return DeltaOutcome::OutOfUniverse;
-        }
-        // Bump first, exactly like the invalidation paths: the underlying
-        // data already changed, so any fill still in flight computed
-        // against stale data and must not be stored.
-        self.generation.fetch_add(1, Ordering::AcqRel);
-        let generation = self.generation();
-        if self.num_cached() == 0 {
-            return DeltaOutcome::ColdIndex;
-        }
-        let Some(old) = self.cached_full(user) else {
-            // A partially warm index without the user's pre-change list:
-            // the warm lists holding stale (v, user) edges cannot be
-            // enumerated, so fall back to the blanket invalidation.
-            self.clear_all_slots();
-            return DeltaOutcome::InvalidatedAll;
-        };
-        if !measure.is_symmetric() {
-            self.clear_all_slots();
-            return DeltaOutcome::InvalidatedAll;
-        }
-        if self.selector.cache_bound().is_some_and(|b| old.len() >= b) {
-            // The user's own stored list is saturated at the cache bound:
-            // peers beyond the boundary were dropped, so the stale
-            // (v, user) edges cannot all be enumerated. Blanket fallback.
-            self.clear_all_slots();
-            return DeltaOutcome::InvalidatedAll;
-        }
-        // The *uncapped* new list: affected-endpoint enumeration and the
-        // per-endpoint splices need every qualifying edge, not just the
-        // bounded top (an edge below the user's own boundary can still
-        // sit inside another endpoint's bounded list).
-        let new = self.compute_full_uncapped(measure, user);
-
-        // The affected endpoints: every peer the user had or now has.
-        // Cached lists are symmetric-consistent (same measure, same δ,
-        // bitwise-symmetric values), so a warm list contains a stale
-        // `user` edge iff its owner appears in the user's old list. (The
-        // saturation check above guarantees `old` is the complete old
-        // edge set.)
-        let mut affected: Vec<UserId> = old.iter().chain(new.iter()).map(|&(v, _)| v).collect();
-        affected.sort_unstable();
-        affected.dedup();
-        // Id-sorted copy of the new list for O(log n) edge lookups.
-        let mut new_by_id: Vec<(UserId, f64)> = new.clone();
-        new_by_id.sort_unstable_by_key(|&(v, _)| v);
-
-        let mut touched = 0usize;
-        for v in affected {
-            let sim = new_by_id
-                .binary_search_by_key(&v, |&(w, _)| w)
-                .ok()
-                .map(|slot| new_by_id[slot].1);
-            match self.splice_peer(v, user, sim, generation) {
-                None => {
-                    // A concurrent invalidation supersedes this splice.
-                    return DeltaOutcome::Spliced { touched };
-                }
-                Some(SpliceOutcome::Patched | SpliceOutcome::Invalidated) => touched += 1,
-                Some(SpliceOutcome::ColdRefreshed | SpliceOutcome::Untouched) => {}
-            }
-        }
-        let mut own = new;
-        if let Some(bound) = self.selector.cache_bound() {
-            own.truncate(bound);
-        }
-        self.store_full_list(user, Arc::new(own), generation);
-        DeltaOutcome::Spliced { touched }
+        let n = self.num_users();
+        splice_delta(
+            std::slice::from_ref(self),
+            |v| (v.raw() < n).then_some((0, v)),
+            n,
+            measure,
+            user,
+        )
     }
 
     /// Bumps the generation token and returns the **new** value — the
@@ -1104,21 +987,94 @@ impl PeerIndex {
         };
         bounded.peers_of_bulk(measure, user, self.num_users(), &[], scratch)
     }
+}
 
-    /// The truly uncapped full list — the delta path's edge enumeration,
-    /// which must see every qualifying edge regardless of the cache
-    /// bound.
-    fn compute_full_uncapped<S: BulkUserSimilarity + ?Sized>(
-        &self,
-        measure: &S,
-        user: UserId,
-    ) -> Peers {
-        let uncapped = PeerSelector {
-            delta: self.selector.delta,
-            max_peers: None,
-        };
-        uncapped.peers_of_bulk(measure, user, self.num_users(), &[], &mut SimScratch::new())
+/// The delta splice behind [`PeerIndex::apply_delta`] and
+/// `ShardedPeerIndex::apply_delta`, over the indexes in `shards` with
+/// `route` mapping a user of the `0..num_users` universe to its
+/// `(shard, slot)`: every shard's token is bumped before any slot is
+/// touched, `user`'s full list is recomputed with one uncapped pass of
+/// `measure`, and each affected endpoint's slot gets the refreshed
+/// `(user, simU)` edge. A concurrent invalidation of one shard makes
+/// that shard's remaining writes no-ops (the generation guard) while the
+/// others proceed. See [`PeerIndex::apply_delta`] for the contract.
+pub(crate) fn splice_delta<S: BulkUserSimilarity + ?Sized>(
+    shards: &[PeerIndex],
+    route: impl Fn(UserId) -> Option<(usize, UserId)>,
+    num_users: u32,
+    measure: &S,
+    user: UserId,
+) -> DeltaOutcome {
+    let Some((owning, own_slot)) = route(user) else {
+        return DeltaOutcome::OutOfUniverse;
+    };
+    // Bump first, exactly like the invalidation paths: the underlying
+    // data already changed, so any fill still in flight computed against
+    // stale data and must not be stored.
+    let tokens: Vec<u64> = shards.iter().map(PeerIndex::bump_generation).collect();
+    if shards.iter().all(|shard| shard.num_cached() == 0) {
+        return DeltaOutcome::ColdIndex;
     }
+    let selector = shards[owning].selector;
+    // The user's stored pre-change list is the complete old edge set
+    // only when present and unsaturated (a list at the cache bound lost
+    // its beyond-boundary peers); without it, or with an asymmetric
+    // measure, the stale `(v, user)` edges cannot be enumerated — fall
+    // back to the blanket invalidation.
+    let old = shards[owning]
+        .cached_full(own_slot)
+        .filter(|old| selector.cache_bound().is_none_or(|b| old.len() < b));
+    let (Some(old), true) = (old, measure.is_symmetric()) else {
+        for shard in shards {
+            shard.clear_all_slots();
+        }
+        return DeltaOutcome::InvalidatedAll;
+    };
+    // The *uncapped* new list: affected-endpoint enumeration and the
+    // per-endpoint splices need every qualifying edge, not just the
+    // bounded top (an edge below the user's own boundary can still sit
+    // inside another endpoint's bounded list).
+    let uncapped = PeerSelector {
+        delta: selector.delta,
+        max_peers: None,
+    };
+    let new = uncapped.peers_of_bulk(measure, user, num_users, &[], &mut SimScratch::new());
+
+    // The affected endpoints: every peer the user had or now has. Cached
+    // lists are symmetric-consistent (same measure, same δ,
+    // bitwise-symmetric values), so a warm list contains a stale `user`
+    // edge iff its owner appears in the user's old list.
+    let mut affected: Vec<UserId> = old.iter().chain(&new).map(|&(v, _)| v).collect();
+    affected.sort_unstable();
+    affected.dedup();
+    // Id-sorted copy of the new list for O(log n) edge lookups.
+    let mut new_by_id = new.clone();
+    new_by_id.sort_unstable_by_key(|&(v, _)| v);
+
+    let mut touched = 0usize;
+    for v in affected {
+        let (s, slot) = route(v).expect("peer lists only mention in-universe users");
+        let sim = new_by_id
+            .binary_search_by_key(&v, |&(w, _)| w)
+            .ok()
+            .map(|idx| new_by_id[idx].1);
+        // `Patched`/`Invalidated` changed the slot's contents; a cold
+        // refresh or a provably unchanged bounded top does not, and
+        // `None` means a concurrent invalidation of that shard
+        // superseded its splices.
+        if matches!(
+            shards[s].splice_peer(slot, user, sim, tokens[s]),
+            Some(SpliceOutcome::Patched | SpliceOutcome::Invalidated)
+        ) {
+            touched += 1;
+        }
+    }
+    let mut own = new;
+    if let Some(bound) = selector.cache_bound() {
+        own.truncate(bound);
+    }
+    shards[owning].store_full_list(own_slot, Arc::new(own), tokens[owning]);
+    DeltaOutcome::Spliced { touched }
 }
 
 #[cfg(test)]

@@ -1,10 +1,7 @@
 //! Sharded Definition-1 serving: the peer index and kernel dispatch over
 //! a hash-partitioned user universe with **compacted shard-local id
-//! spaces**.
-//!
-//! The monolithic [`PeerIndex`] holds every user's peer list in one
-//! process; past ~10⁶ users both the warm-time arithmetic and the list
-//! memory have to spread across shards. This module is that layer:
+//! spaces** — the engine's one index, at any shard count `S` (`S = 1`
+//! by default).
 //!
 //! * [`ShardedRatingsSimilarity`] — the Pearson measure over a
 //!   [`ShardedRatingMatrix`]. Its one-vs-all pass **scatters** one
@@ -23,27 +20,39 @@
 //!   user, so per-shard slot arrays are O(U/S), not O(U). The cached
 //!   lists still carry **global** peer ids (they are served verbatim);
 //!   translation happens only at this type's boundary. Lookups route to
-//!   the owning shard, so serving reads stay one cache hit.
+//!   the owning shard, so serving reads stay one cache hit. Any bulk
+//!   measure can fill it ([`ShardedPeerIndex::full_peers`],
+//!   [`ShardedPeerIndex::warm`]): each shard sees the measure through a
+//!   slot → global-id adapter running over the global universe.
+//!
+//! ## `S = 1` is the monolithic case
+//!
+//! With one shard every remap is the identity (`owned = 0..U`), which
+//! [`IdRemap::local_of`] recognises from the data and answers in O(1);
+//! the engine moves its input matrix into the shard without a copy
+//! ([`ShardedRatingMatrix::from_owned`]). The one index therefore costs
+//! what a monolithic [`PeerIndex`] costs, and there is no second path.
 //!
 //! ## The shard-pair symmetric warm
 //!
 //! [`ShardedPeerIndex::warm_symmetric`] decomposes the upper-triangle
-//! warm into `S·(S+1)/2` independent shard-pair tasks on the worker
-//! pool: pair `(a, a)` runs the above-only kernel (each same-shard pair
-//! once), pair `(a, b)` with `a < b` runs the full shard-scoped kernel
-//! from `a`'s sources into `b`'s candidates (each cross-shard pair
-//! once). One pair's work is [`shard_pair_edges`] — a free function over
+//! warm into `S·(S+1)/2` shard pairs: pair `(a, a)` runs the above-only
+//! kernel (each same-shard pair once), pair `(a, b)` with `a < b` runs
+//! the full shard-scoped kernel from `a`'s sources into `b`'s
+//! candidates (each cross-shard pair once). One pair's work is
+//! [`shard_pair_edges`] — a free function over
 //! `(matrix, a, b, universe, overlap, δ)` precisely so the schedule can
 //! be serialized into self-contained task descriptors and executed
 //! remotely (the MapReduce pipeline's distributed warm rehearses this);
 //! [`ShardedPeerIndex::adopt_full_lists`] is the matching install path
-//! for lists assembled elsewhere. Qualifying edges are scattered
+//! for lists assembled elsewhere. In process, each pair's sources are
+//! further split into warm-sized chunks, so the single pair of `S = 1`
+//! still spreads across the worker pool. Qualifying edges are scattered
 //! straight into both endpoints' per-user lists and canonicalised once —
-//! exactly the monolithic scatter — then each shard's index is assembled
-//! from its owned users' finished lists via the sort-free mapped
-//! `from_full_lists` build, under each shard's recorded generation token
-//! (a concurrent invalidation makes that shard's swap a no-op). The
-//! result is bitwise identical to the monolithic
+//! exactly the monolithic scatter — then published slot by slot into
+//! the owning shards under each shard's recorded generation token (a
+//! concurrent invalidation makes that shard's remaining installs
+//! no-ops). The result is bitwise identical to the monolithic
 //! [`PeerIndex::warm_symmetric`] for **any** shard count.
 //!
 //! ## The delta path
@@ -60,7 +69,7 @@
 //! up bitwise identical to a cold rebuild against the current data.
 
 use crate::bulk::{BulkUserSimilarity, SimScratch};
-use crate::peer_index::{DeltaOutcome, PeerIndex, SpliceOutcome};
+use crate::peer_index::{splice_delta, warm_chunk_size, DeltaOutcome, PeerIndex};
 use crate::peers::{PeerSelector, Peers};
 use crate::ratings::{cross_kernel, cross_similarity, KernelSide};
 use crate::UserSimilarity;
@@ -280,6 +289,28 @@ pub fn shard_pair_edges(
     min_overlap: usize,
     delta: f64,
 ) -> Vec<(UserId, UserId, f64)> {
+    shard_pair_edges_from(
+        matrix,
+        (a, b),
+        matrix.users_of_shard(a),
+        num_users,
+        min_overlap,
+        delta,
+    )
+}
+
+/// [`shard_pair_edges`] restricted to `sources`, an ascending run of
+/// shard `a`'s owned users — how the in-process warm splits one shard
+/// pair across workers (at `S = 1` the single pair is the whole
+/// triangle).
+fn shard_pair_edges_from(
+    matrix: &ShardedRatingMatrix,
+    (a, b): (usize, usize),
+    sources: &[UserId],
+    num_users: u32,
+    min_overlap: usize,
+    delta: f64,
+) -> Vec<(UserId, UserId, f64)> {
     let scoped = ShardScopedRatings {
         source: matrix.shard(a),
         candidates: matrix.shard(b),
@@ -288,7 +319,7 @@ pub fn shard_pair_edges(
     let mut scratch = SimScratch::new();
     let mut buf: Peers = Vec::new();
     let mut edges = Vec::new();
-    for &u in matrix.users_of_shard(a) {
+    for &u in sources {
         if u.raw() >= num_users {
             // Owned lists ascend: nothing further is in the universe.
             break;
@@ -358,20 +389,6 @@ impl<S: BulkUserSimilarity + ?Sized> BulkUserSimilarity for Localized<'_, S> {
     fn is_symmetric(&self) -> bool {
         self.inner.is_symmetric()
     }
-}
-
-/// What a sharded maintenance call did, per shard plus the aggregate.
-/// The aggregate is what the engine's `IngestReport` surfaces; the
-/// per-shard counts exist for tests and operational introspection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedDeltaReport {
-    /// Aggregate outcome: `Spliced` when the central splice ran (touched
-    /// = total endpoint lists patched across shards), `InvalidatedAll`
-    /// when the exactness preconditions failed and every shard was
-    /// cleared, `ColdIndex` when every shard was cold.
-    pub outcome: DeltaOutcome,
-    /// Per-shard outcomes, in shard order.
-    pub per_shard: Vec<DeltaOutcome>,
 }
 
 /// Hash-partitioned [`PeerIndex`] with compacted per-shard universes:
@@ -460,11 +477,20 @@ impl ShardedPeerIndex {
     /// any slot, so the sum is monotone and usable exactly like
     /// [`PeerIndex::generation`].
     pub fn generation(&self) -> u64 {
-        self.generations().iter().sum()
+        self.shards.iter().map(PeerIndex::generation).sum()
     }
 
     fn shard(&self, s: usize) -> &PeerIndex {
         &self.shards[s]
+    }
+
+    /// `measure` adapted to shard `s`'s local slot space.
+    fn localized<'a, S: ?Sized>(&'a self, measure: &'a S, s: usize) -> Localized<'a, S> {
+        Localized {
+            inner: measure,
+            remap: &self.remaps[s],
+            num_users: self.num_users,
+        }
     }
 
     /// `user`'s owning shard and local slot, when in the universe.
@@ -498,12 +524,7 @@ impl ShardedPeerIndex {
         let Some((s, local)) = self.slot_of(user) else {
             return Arc::new(Peers::new());
         };
-        let localized = Localized {
-            inner: measure,
-            remap: &self.remaps[s],
-            num_users: self.num_users,
-        };
-        self.shard(s).full_peers(&localized, local)
+        self.shard(s).full_peers(&self.localized(measure, s), local)
     }
 
     /// Definition 1 for one user — identical to the monolithic
@@ -530,26 +551,23 @@ impl ShardedPeerIndex {
             .collect()
     }
 
-    /// Eagerly fills every cold slot through the ordinary lazy path,
+    /// Eagerly fills every cold slot with one one-vs-all pass of
+    /// `measure` (any bulk measure over the global universe), shard by
+    /// shard: each shard runs [`PeerIndex::warm`] over its owned users,
     /// fanned out across the configured parallelism. Returns the number
-    /// of lists computed. This is also the fallback
-    /// [`warm_symmetric`](Self::warm_symmetric) takes when any shard is
-    /// partially warm (a partial triangle cannot be restricted to the
-    /// cold subset, exactly as in the monolithic index).
-    pub fn warm<M: Borrow<ShardedRatingMatrix> + Sync>(
+    /// of lists computed. This is the warm of the non-`Ratings` backends
+    /// and the fallback [`warm_symmetric`](Self::warm_symmetric) takes
+    /// when any shard is partially warm (a partial triangle cannot be
+    /// restricted to the cold subset, exactly as in the monolithic
+    /// index).
+    pub fn warm<S: BulkUserSimilarity + Sync + ?Sized>(
         &self,
-        measure: &ShardedRatingsSimilarity<M>,
+        measure: &S,
         parallelism: Parallelism,
     ) -> usize {
-        let cold: Vec<UserId> = (0..self.num_users)
-            .map(UserId::new)
-            .filter(|&u| self.cached_full(u).is_none())
-            .collect();
-        let computed = cold.len();
-        parallelism.map(cold, |u| {
-            let _ = self.full_peers(measure, u);
-        });
-        computed
+        (0..self.shards.len())
+            .map(|s| self.shard(s).warm(&self.localized(measure, s), parallelism))
+            .sum()
     }
 
     /// Symmetric bulk warm decomposed into per-shard-pair
@@ -574,15 +592,25 @@ impl ShardedPeerIndex {
         let delta = self.selector.delta;
         let generations = self.generations();
 
-        // One task per shard pair (a ≤ b): the diagonal runs the
-        // above-only kernel (each same-shard pair once), off-diagonal
-        // pairs run the full scoped kernel from a's sources into b's
-        // candidates (each cross-shard pair once).
-        let pairs: Vec<(usize, usize)> = (0..num_shards)
-            .flat_map(|a| (a..num_shards).map(move |b| (a, b)))
+        // Shard pairs (a ≤ b): the diagonal runs the above-only kernel
+        // (each same-shard pair once), off-diagonal pairs run the full
+        // scoped kernel from a's sources into b's candidates (each
+        // cross-shard pair once). Each pair's sources are split into
+        // warm-sized chunks so one big pair (the only one at S = 1)
+        // still spreads across the workers.
+        let chunk = warm_chunk_size(n as usize, parallelism);
+        let tasks: Vec<((usize, usize), &[UserId])> = (0..num_shards)
+            .flat_map(|a| {
+                (a..num_shards).flat_map(move |b| {
+                    sharded
+                        .users_of_shard(a)
+                        .chunks(chunk)
+                        .map(move |sources| ((a, b), sources))
+                })
+            })
             .collect();
-        let edge_sets = parallelism.map(pairs, |(a, b)| {
-            shard_pair_edges(sharded, a, b, n, measure.min_overlap(), delta)
+        let edge_sets = parallelism.map(tasks, |(pair, sources)| {
+            shard_pair_edges_from(sharded, pair, sources, n, measure.min_overlap(), delta)
         });
 
         // Scatter every qualifying edge to both endpoints' per-user
@@ -674,108 +702,19 @@ impl ShardedPeerIndex {
     /// passes total, independent of `S`. Degrades to a blanket
     /// invalidation when the measure is not bitwise symmetric or the
     /// pre-change list is missing from a partially warm index, exactly
-    /// like [`PeerIndex::apply_delta`].
+    /// like [`PeerIndex::apply_delta`] (the same splice, routed).
     pub fn apply_delta<S: BulkUserSimilarity + ?Sized>(
         &self,
         measure: &S,
         user: UserId,
-    ) -> ShardedDeltaReport {
-        let num_shards = self.shards.len();
-        let Some((owning, local_u)) = self.slot_of(user) else {
-            return ShardedDeltaReport {
-                outcome: DeltaOutcome::OutOfUniverse,
-                per_shard: vec![DeltaOutcome::OutOfUniverse; num_shards],
-            };
-        };
-        // Bump every shard before touching any slot, exactly like the
-        // monolithic delta bumps its one token: the data already
-        // changed, so any fill still in flight is stale everywhere.
-        let tokens: Vec<u64> = self.shards.iter().map(PeerIndex::bump_generation).collect();
-        if self.num_cached() == 0 {
-            return ShardedDeltaReport {
-                outcome: DeltaOutcome::ColdIndex,
-                per_shard: vec![DeltaOutcome::ColdIndex; num_shards],
-            };
-        }
-        let old = self.shard(owning).cached_full(local_u);
-        let usable = old
-            .as_ref()
-            .is_some_and(|old| self.selector.cache_bound().is_none_or(|b| old.len() < b));
-        let (Some(old), true) = (old.filter(|_| usable), measure.is_symmetric()) else {
-            // Missing pre-change list in a partially warm index, a
-            // saturated (bound-truncated) own list whose beyond-boundary
-            // edges cannot be enumerated, or an asymmetric measure: the
-            // stale `(v, user)` edges are unknowable — blanket fallback.
-            for shard in &self.shards {
-                shard.clear_all_slots();
-            }
-            return ShardedDeltaReport {
-                outcome: DeltaOutcome::InvalidatedAll,
-                per_shard: vec![DeltaOutcome::InvalidatedAll; num_shards],
-            };
-        };
-        // One global pass over the current data: the user's refreshed
-        // full list, uncapped and δ-filtered — bitwise what a monolithic
-        // `compute_full` would produce.
-        let uncapped = PeerSelector {
-            delta: self.selector.delta,
-            max_peers: None,
-        };
-        let new = Arc::new(uncapped.peers_of_bulk(
+    ) -> DeltaOutcome {
+        splice_delta(
+            &self.shards,
+            |v| self.slot_of(v),
+            self.num_users,
             measure,
             user,
-            self.num_users,
-            &[],
-            &mut SimScratch::new(),
-        ));
-
-        // The affected endpoints: every peer the user had or now has.
-        let mut affected: Vec<UserId> = old.iter().chain(new.iter()).map(|&(v, _)| v).collect();
-        affected.sort_unstable();
-        affected.dedup();
-        let mut new_by_id: Vec<(UserId, f64)> = new.as_ref().clone();
-        new_by_id.sort_unstable_by_key(|&(v, _)| v);
-
-        let mut touched = vec![0usize; num_shards];
-        for v in affected {
-            let (s, local_v) = self
-                .slot_of(v)
-                .expect("peer lists only mention in-universe users");
-            let sim = new_by_id
-                .binary_search_by_key(&v, |&(w, _)| w)
-                .ok()
-                .map(|idx| new_by_id[idx].1);
-            // `Patched`/`Invalidated` changed the slot's contents and
-            // count as touched; a cold refresh or a provably unchanged
-            // bounded top does not, and `None` means a concurrent
-            // invalidation of that one shard superseded its splices
-            // (other shards proceed under their own tokens).
-            if matches!(
-                self.shard(s).splice_peer(local_v, user, sim, tokens[s]),
-                Some(SpliceOutcome::Patched | SpliceOutcome::Invalidated)
-            ) {
-                touched[s] += 1;
-            }
-        }
-        let own = match self.selector.cache_bound() {
-            Some(bound) if new.len() > bound => {
-                let mut truncated = new.as_ref().clone();
-                truncated.truncate(bound);
-                Arc::new(truncated)
-            }
-            _ => Arc::clone(&new),
-        };
-        self.shard(owning)
-            .store_full_list(local_u, own, tokens[owning]);
-        ShardedDeltaReport {
-            outcome: DeltaOutcome::Spliced {
-                touched: touched.iter().sum(),
-            },
-            per_shard: touched
-                .into_iter()
-                .map(|t| DeltaOutcome::Spliced { touched: t })
-                .collect(),
-        }
+        )
     }
 
     /// Drops every cached list in every shard (each under its own bumped
@@ -797,34 +736,57 @@ impl ShardedPeerIndex {
     /// # Panics
     /// Panics if `num_users` is smaller than the current universe.
     pub fn grow_universe(&self, num_users: u32) -> Self {
-        assert!(
-            num_users >= self.num_users,
-            "universe can only grow ({} -> {num_users})",
-            self.num_users
-        );
-        let remaps = self.spec.partition(num_users);
-        let shards = remaps
-            .iter()
-            .enumerate()
-            .map(|(s, remap)| self.shard(s).grow_universe(remap.len()))
-            .collect();
-        Self {
-            spec: self.spec,
-            selector: self.selector,
-            num_users,
-            remaps,
-            shards,
-        }
+        self.assert_grows(num_users);
+        self.resized(num_users, |s, slots| self.shard(s).grow_universe(slots))
+    }
+
+    /// Like [`grow_universe`](Self::grow_universe), but sound for measures
+    /// that **can** score the appended ids against existing users
+    /// (profile, semantic): every warm list, in every shard, is
+    /// revalidated against **all** the new global ids
+    /// ([`PeerIndex::grow_universe_revalidated`] semantics — bitwise what a
+    /// cold rebuild over the grown universe would cache; every shard's
+    /// token is bumped).
+    ///
+    /// # Panics
+    /// Panics if `num_users` is smaller than the current universe.
+    pub fn grow_universe_revalidated<S: UserSimilarity + ?Sized>(
+        &self,
+        measure: &S,
+        num_users: u32,
+    ) -> Self {
+        self.assert_grows(num_users);
+        let appended: Vec<UserId> = (self.num_users..num_users).map(UserId::new).collect();
+        self.resized(num_users, |s, slots| {
+            let remap = &self.remaps[s];
+            self.shard(s)
+                .revalidated(|local| remap.global_of(local), measure, &appended, slots)
+        })
     }
 
     /// Returns a fully cold sharded index over `num_users` with every
     /// shard's token bumped ([`PeerIndex::rebuild_cold`] per shard).
     pub fn rebuild_cold(&self, num_users: u32) -> Self {
+        self.resized(num_users, |s, slots| self.shard(s).rebuild_cold(slots))
+    }
+
+    fn assert_grows(&self, num_users: u32) {
+        assert!(
+            num_users >= self.num_users,
+            "universe can only grow ({} -> {num_users})",
+            self.num_users
+        );
+    }
+
+    /// An index over `num_users` whose shard `s` is `resize(s, slots)`,
+    /// `slots` being shard `s`'s owned count in the new universe (hash
+    /// owners never change, so existing slots keep their positions).
+    fn resized(&self, num_users: u32, resize: impl Fn(usize, u32) -> PeerIndex) -> Self {
         let remaps = self.spec.partition(num_users);
         let shards = remaps
             .iter()
             .enumerate()
-            .map(|(s, remap)| self.shard(s).rebuild_cold(remap.len()))
+            .map(|(s, remap)| resize(s, remap.len()))
             .collect();
         Self {
             spec: self.spec,
@@ -1065,7 +1027,7 @@ mod tests {
                 }
                 let report = index.apply_delta(&ShardedRatingsSimilarity::new(&part), user);
                 assert!(
-                    matches!(report.outcome, DeltaOutcome::Spliced { .. }),
+                    matches!(report, DeltaOutcome::Spliced { .. }),
                     "S={s}, event ({u}, {i}): {report:?}"
                 );
             }

@@ -28,9 +28,18 @@
 //! the capped runs exercise the top-cap heap and the saturated splice
 //! rules under contention). Seeded via `FAIRREC_FAULT_SEED` (the CI
 //! chaos matrix), defaulting to 42.
+//!
+//! Random churn rarely lands a maintenance write inside the short
+//! window between a fill's version observation and its version CAS, so
+//! the stale-fill rule also has **forced interleavings**: a measure
+//! wrapper parks a lazy fill inside its kernel pass (after the
+//! observation, before the CAS) while the test changes the data and
+//! runs an `invalidate_all` or a co-rater's `apply_delta`; once
+//! released, the fill's stale list must not be published.
 
 use fairrec_similarity::{
-    PeerIndex, PeerSelector, Peers, RatingsSimilarity, ShardedPeerIndex, ShardedRatingsSimilarity,
+    BulkUserSimilarity, DeltaOutcome, PeerIndex, PeerSelector, Peers, RatingsSimilarity,
+    ShardedPeerIndex, ShardedRatingsSimilarity, SimScratch, UserSimilarity,
 };
 use fairrec_types::{
     ItemId, Parallelism, Rating, RatingMatrix, RatingMatrixBuilder, ShardSpec, ShardedRatingMatrix,
@@ -40,8 +49,10 @@ use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Dense enough that uncapped full lists (up to 79 peers) blow past the
 /// capped runs' cache bound, so stored-list saturation is actually hit.
@@ -122,29 +133,105 @@ fn oracle_lists(matrix: &Arc<RatingMatrix>, selector: PeerSelector) -> Vec<Arc<P
         .collect()
 }
 
-/// The read surface the stress readers exercise — both index shapes
-/// serve it.
-trait SnapshotRead: Send + Sync + 'static {
+/// The index surface the stress suite drives — both index shapes serve
+/// it, each with the Pearson measure of its own store shape.
+trait StressedIndex: Send + Sync + 'static {
+    /// Pearson over one chain state, in this index's store shape.
+    type Measure: BulkUserSimilarity + Send + Sync + 'static;
+    fn measure(matrix: &Arc<RatingMatrix>, shards: ShardSpec) -> Self::Measure;
     fn generation(&self) -> u64;
+    fn num_cached(&self) -> usize;
     /// One member's cached full list.
     fn cached_full(&self, user: UserId) -> Option<Arc<Peers>>;
+    fn full_peers<M: BulkUserSimilarity + ?Sized>(&self, measure: &M, user: UserId) -> Arc<Peers>;
+    fn warm<M: BulkUserSimilarity + Sync + ?Sized>(&self, measure: &M);
+    fn warm_symmetric(&self, measure: &Self::Measure);
+    /// Drops one user's list (the sharded surface has no single-user
+    /// invalidation and drops everything).
+    fn invalidate_user(&self, user: UserId);
+    fn invalidate_all(&self);
+    fn apply_delta<M: BulkUserSimilarity + ?Sized>(
+        &self,
+        measure: &M,
+        user: UserId,
+    ) -> DeltaOutcome;
 }
 
-impl SnapshotRead for PeerIndex {
+impl StressedIndex for PeerIndex {
+    type Measure = RatingsSimilarity<Arc<RatingMatrix>>;
+    fn measure(matrix: &Arc<RatingMatrix>, _: ShardSpec) -> Self::Measure {
+        RatingsSimilarity::new(Arc::clone(matrix))
+    }
     fn generation(&self) -> u64 {
         PeerIndex::generation(self)
+    }
+    fn num_cached(&self) -> usize {
+        PeerIndex::num_cached(self)
     }
     fn cached_full(&self, user: UserId) -> Option<Arc<Peers>> {
         PeerIndex::cached_full(self, user)
     }
+    fn full_peers<M: BulkUserSimilarity + ?Sized>(&self, measure: &M, user: UserId) -> Arc<Peers> {
+        PeerIndex::full_peers(self, measure, user)
+    }
+    fn warm<M: BulkUserSimilarity + Sync + ?Sized>(&self, measure: &M) {
+        PeerIndex::warm(self, measure, Parallelism::Sequential);
+    }
+    fn warm_symmetric(&self, measure: &Self::Measure) {
+        PeerIndex::warm_symmetric(self, measure, Parallelism::Sequential);
+    }
+    fn invalidate_user(&self, user: UserId) {
+        PeerIndex::invalidate_user(self, user);
+    }
+    fn invalidate_all(&self) {
+        PeerIndex::invalidate_all(self);
+    }
+    fn apply_delta<M: BulkUserSimilarity + ?Sized>(
+        &self,
+        measure: &M,
+        user: UserId,
+    ) -> DeltaOutcome {
+        PeerIndex::apply_delta(self, measure, user)
+    }
 }
 
-impl SnapshotRead for ShardedPeerIndex {
+impl StressedIndex for ShardedPeerIndex {
+    type Measure = ShardedRatingsSimilarity;
+    fn measure(matrix: &Arc<RatingMatrix>, shards: ShardSpec) -> Self::Measure {
+        ShardedRatingsSimilarity::new(Arc::new(
+            ShardedRatingMatrix::from_matrix(matrix, shards).unwrap(),
+        ))
+    }
     fn generation(&self) -> u64 {
         ShardedPeerIndex::generation(self)
     }
+    fn num_cached(&self) -> usize {
+        ShardedPeerIndex::num_cached(self)
+    }
     fn cached_full(&self, user: UserId) -> Option<Arc<Peers>> {
         ShardedPeerIndex::cached_full(self, user)
+    }
+    fn full_peers<M: BulkUserSimilarity + ?Sized>(&self, measure: &M, user: UserId) -> Arc<Peers> {
+        ShardedPeerIndex::full_peers(self, measure, user)
+    }
+    fn warm<M: BulkUserSimilarity + Sync + ?Sized>(&self, measure: &M) {
+        ShardedPeerIndex::warm(self, measure, Parallelism::Sequential);
+    }
+    fn warm_symmetric(&self, measure: &Self::Measure) {
+        ShardedPeerIndex::warm_symmetric(self, measure, Parallelism::Sequential);
+    }
+    fn invalidate_user(&self, _: UserId) {
+        ShardedPeerIndex::invalidate_all(self);
+    }
+    fn invalidate_all(&self) {
+        ShardedPeerIndex::invalidate_all(self);
+    }
+    fn apply_delta<M: BulkUserSimilarity + ?Sized>(
+        &self,
+        measure: &M,
+        user: UserId,
+    ) -> DeltaOutcome {
+        ShardedPeerIndex::apply_delta(self, measure, user)
     }
 }
 
@@ -156,7 +243,7 @@ type GenTable = Arc<Mutex<HashMap<u64, usize>>>;
 /// generation-stable and the generation is a published one — assert
 /// every observed non-cold list is bitwise the oracle list of that
 /// generation's state. Returns the per-reader verified-window counts.
-fn spawn_readers<I: SnapshotRead>(
+fn spawn_readers<I: StressedIndex>(
     index: &Arc<I>,
     table: &GenTable,
     oracles: &Arc<Vec<Vec<Arc<Peers>>>>,
@@ -211,9 +298,16 @@ fn spawn_readers<I: SnapshotRead>(
         .collect()
 }
 
-/// Drives the seeded maintenance script against the monolithic index.
-fn churn_mono(index: &PeerIndex, chain: &Chain, table: &GenTable, seed: u64) -> usize {
-    let measure = |state: usize| RatingsSimilarity::new(Arc::clone(&chain.matrices[state]));
+/// Drives the seeded maintenance script: symmetric and lazy warms,
+/// per-user and blanket invalidations, exact deltas along the chain and
+/// blanket jumps, recording each published generation's state.
+fn churn<I: StressedIndex>(
+    index: &I,
+    measures: &[I::Measure],
+    editors: &[UserId],
+    table: &GenTable,
+    seed: u64,
+) -> usize {
     let record = |state: usize| {
         table.lock().unwrap().insert(index.generation(), state);
     };
@@ -221,16 +315,12 @@ fn churn_mono(index: &PeerIndex, chain: &Chain, table: &GenTable, seed: u64) -> 
     let mut state = 0usize;
     for _ in 0..MAINT_OPS {
         match rng.gen_range(0u32..10) {
-            0 | 1 => {
-                index.warm_symmetric(&measure(state), Parallelism::Sequential);
-            }
-            2 => {
-                index.warm(&measure(state), Parallelism::Sequential);
-            }
+            0 | 1 => index.warm_symmetric(&measures[state]),
+            2 => index.warm(&measures[state]),
             3 | 4 => {
                 for _ in 0..4 {
                     let u = UserId::new(rng.gen_range(0..NUM_USERS));
-                    let _ = index.full_peers(&measure(state), u);
+                    let _ = index.full_peers(&measures[state], u);
                 }
             }
             5 => {
@@ -241,22 +331,22 @@ fn churn_mono(index: &PeerIndex, chain: &Chain, table: &GenTable, seed: u64) -> 
                 index.invalidate_all();
                 record(state);
             }
-            _ if state + 1 < chain.matrices.len() => {
+            _ if state + 1 < measures.len() => {
                 // One exact delta along the chain: cache the editor's
                 // pre-change list (the exactness precondition), advance
                 // the data, splice.
-                let editor = chain.editors[state];
+                let editor = editors[state];
                 if index.num_cached() > 0 {
-                    let _ = index.full_peers(&measure(state), editor);
+                    let _ = index.full_peers(&measures[state], editor);
                 }
                 state += 1;
-                let _ = index.apply_delta(&measure(state), editor);
+                let _ = index.apply_delta(&measures[state], editor);
                 record(state);
             }
             _ => {
                 // Chain exhausted: blanket jump back to a random state —
                 // the batch-ingestion shape (drop everything, new data).
-                state = rng.gen_range(0..chain.matrices.len());
+                state = rng.gen_range(0..measures.len());
                 index.invalidate_all();
                 record(state);
             }
@@ -265,61 +355,17 @@ fn churn_mono(index: &PeerIndex, chain: &Chain, table: &GenTable, seed: u64) -> 
     state
 }
 
-/// Drives the same script against the sharded index (per-user
-/// invalidation degrades to the blanket — the sharded surface has no
-/// single-user invalidation).
-fn churn_sharded(
-    index: &ShardedPeerIndex,
-    chain: &[Arc<ShardedRatingMatrix>],
-    editors: &[UserId],
-    table: &GenTable,
-    seed: u64,
-) -> usize {
-    let measure = |state: usize| ShardedRatingsSimilarity::new(Arc::clone(&chain[state]));
-    let record = |state: usize| {
-        table.lock().unwrap().insert(index.generation(), state);
-    };
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-    let mut state = 0usize;
-    for _ in 0..MAINT_OPS {
-        match rng.gen_range(0u32..10) {
-            0 | 1 => {
-                index.warm_symmetric(&measure(state), Parallelism::Sequential);
-            }
-            2 => {
-                index.warm(&measure(state), Parallelism::Sequential);
-            }
-            3 | 4 => {
-                for _ in 0..4 {
-                    let u = UserId::new(rng.gen_range(0..NUM_USERS));
-                    let _ = index.full_peers(&measure(state), u);
-                }
-            }
-            5 | 6 => {
-                index.invalidate_all();
-                record(state);
-            }
-            _ if state + 1 < chain.len() => {
-                let editor = editors[state];
-                index.prepare_delta(&measure(state), editor);
-                state += 1;
-                let _ = index.apply_delta(&measure(state), editor);
-                record(state);
-            }
-            _ => {
-                state = rng.gen_range(0..chain.len());
-                index.invalidate_all();
-                record(state);
-            }
-        }
-    }
-    state
-}
-
-/// One full mono run: spawn readers, churn, assert verified windows and
-/// the bitwise-equal final state.
-fn stress_mono(selector: PeerSelector, seed: u64) {
+/// One full run: spawn readers, churn, assert verified windows and the
+/// bitwise-equal final state — against the monolithic oracle for either
+/// index shape (the sharded index is bitwise interchangeable for any
+/// shard count).
+fn stress<I: StressedIndex>(index: I, shards: ShardSpec, selector: PeerSelector, seed: u64) {
     let chain = build_chain(seed);
+    let measures: Vec<I::Measure> = chain
+        .matrices
+        .iter()
+        .map(|m| I::measure(m, shards))
+        .collect();
     let oracles: Arc<Vec<Vec<Arc<Peers>>>> = Arc::new(
         chain
             .matrices
@@ -327,13 +373,13 @@ fn stress_mono(selector: PeerSelector, seed: u64) {
             .map(|m| oracle_lists(m, selector))
             .collect(),
     );
-    let index = Arc::new(PeerIndex::new(selector, NUM_USERS));
+    let index = Arc::new(index);
     let table: GenTable = Arc::new(Mutex::new(HashMap::new()));
     table.lock().unwrap().insert(index.generation(), 0);
     let done = Arc::new(AtomicBool::new(false));
     let readers = spawn_readers(&index, &table, &oracles, selector, &done, seed);
 
-    let final_state = churn_mono(&index, &chain, &table, seed);
+    let final_state = churn(index.as_ref(), &measures, &chain.editors, &table, seed);
 
     done.store(true, Ordering::Release);
     let verified: usize = readers.into_iter().map(|h| h.join().unwrap()).sum();
@@ -344,8 +390,7 @@ fn stress_mono(selector: PeerSelector, seed: u64) {
 
     // Bitwise-equal final state vs a cold rebuild: fill the cold slots
     // through the ordinary lazy path and compare list for list.
-    let measure = RatingsSimilarity::new(Arc::clone(&chain.matrices[final_state]));
-    index.warm(&measure, Parallelism::Sequential);
+    index.warm(&measures[final_state]);
     for (u, want) in oracles[final_state].iter().enumerate() {
         assert_eq!(
             index.cached_full(UserId::new(u as u32)).as_ref(),
@@ -355,47 +400,19 @@ fn stress_mono(selector: PeerSelector, seed: u64) {
     }
 }
 
-/// One full sharded run, against the same monolithic oracle (the
-/// sharded index is bitwise interchangeable for any shard count).
+fn stress_mono(selector: PeerSelector, seed: u64) {
+    let index = PeerIndex::new(selector, NUM_USERS);
+    stress(index, ShardSpec::new(1).unwrap(), selector, seed);
+}
+
 fn stress_sharded(selector: PeerSelector, num_shards: u32, seed: u64) {
-    let chain = build_chain(seed);
     let spec = ShardSpec::new(num_shards).unwrap();
-    let sharded: Vec<Arc<ShardedRatingMatrix>> = chain
-        .matrices
-        .iter()
-        .map(|m| Arc::new(ShardedRatingMatrix::from_matrix(m, spec).unwrap()))
-        .collect();
-    let oracles: Arc<Vec<Vec<Arc<Peers>>>> = Arc::new(
-        chain
-            .matrices
-            .iter()
-            .map(|m| oracle_lists(m, selector))
-            .collect(),
+    stress(
+        ShardedPeerIndex::new(selector, spec, NUM_USERS),
+        spec,
+        selector,
+        seed,
     );
-    let index = Arc::new(ShardedPeerIndex::new(selector, spec, NUM_USERS));
-    let table: GenTable = Arc::new(Mutex::new(HashMap::new()));
-    table.lock().unwrap().insert(index.generation(), 0);
-    let done = Arc::new(AtomicBool::new(false));
-    let readers = spawn_readers(&index, &table, &oracles, selector, &done, seed);
-
-    let final_state = churn_sharded(&index, &sharded, &chain.editors, &table, seed);
-
-    done.store(true, Ordering::Release);
-    let verified: usize = readers.into_iter().map(|h| h.join().unwrap()).sum();
-    assert!(
-        verified > 0,
-        "readers must verify generation-stable windows, not just spin"
-    );
-
-    let measure = ShardedRatingsSimilarity::new(Arc::clone(&sharded[final_state]));
-    index.warm(&measure, Parallelism::Sequential);
-    for (u, want) in oracles[final_state].iter().enumerate() {
-        assert_eq!(
-            index.cached_full(UserId::new(u as u32)).as_ref(),
-            Some(want),
-            "final list of user {u} diverged from the cold rebuild"
-        );
-    }
 }
 
 #[test]
@@ -427,4 +444,164 @@ fn sharded_readers_never_see_torn_warms_capped() {
         3,
         env_seed(),
     );
+}
+
+type Measure = Arc<dyn BulkUserSimilarity + Send + Sync>;
+
+/// A measure over swappable data whose kernel pass for `target` parks
+/// once — after computing its output from the data it started on, i.e.
+/// after the fill's version observation and before its CAS — until the
+/// test releases it.
+struct Parked {
+    data: Mutex<Measure>,
+    target: UserId,
+    gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl Parked {
+    fn current(&self) -> Measure {
+        Arc::clone(&self.data.lock().unwrap())
+    }
+}
+
+impl UserSimilarity for Parked {
+    fn similarity(&self, u: UserId, v: UserId) -> Option<f64> {
+        self.current().similarity(u, v)
+    }
+
+    fn name(&self) -> &'static str {
+        "parked"
+    }
+}
+
+impl BulkUserSimilarity for Parked {
+    fn similarities_from(
+        &self,
+        u: UserId,
+        num_users: u32,
+        scratch: &mut SimScratch,
+        out: &mut Vec<(UserId, f64)>,
+    ) {
+        self.current().similarities_from(u, num_users, scratch, out);
+        if u == self.target {
+            if let Some((entered, release)) = self.gate.lock().unwrap().take() {
+                entered.send(()).unwrap();
+                release.recv().unwrap();
+            }
+        }
+    }
+
+    fn is_symmetric(&self) -> bool {
+        self.current().is_symmetric()
+    }
+}
+
+/// What runs while the fill is parked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Interleaved {
+    /// The blanket path after a bulk data change.
+    InvalidateAll,
+    /// The exact delta of an editor who co-rates the parked user.
+    CoRaterDelta,
+}
+
+/// The first chain edit and a user whose list it changes: the editor
+/// co-rates them, so their state-0 and state-1 oracle lists differ.
+struct Interleaving {
+    chain: Chain,
+    editor: UserId,
+    target: UserId,
+    /// The target's state-1 list.
+    want: Arc<Peers>,
+}
+
+impl Interleaving {
+    fn new() -> Self {
+        let chain = build_chain(env_seed());
+        let selector = PeerSelector::new(0.0).unwrap();
+        let [old, new] = [0, 1].map(|j| oracle_lists(&chain.matrices[j], selector));
+        let editor = chain.editors[0];
+        let target = old[editor.index()]
+            .iter()
+            .map(|&(v, _)| v)
+            .find(|v| old[v.index()] != new[v.index()])
+            .expect("the edit changes some co-rater's list");
+        let want = Arc::clone(&new[target.index()]);
+        Self {
+            chain,
+            editor,
+            target,
+            want,
+        }
+    }
+
+    /// Parks a lazy fill of the target on state-0 data, moves the data
+    /// to state 1 and runs `step` while it is parked, releases it, and
+    /// asserts that the fill's stale list was not published: the slot
+    /// is cold or holds the state-1 list, and serving reads the state-1
+    /// list.
+    fn run<I: StressedIndex>(&self, index: I, shards: ShardSpec, step: Interleaved) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let [before, after] =
+            [0, 1].map(|j| Arc::new(I::measure(&self.chain.matrices[j], shards)) as Measure);
+        let parked = Arc::new(Parked {
+            data: Mutex::new(before),
+            target: self.target,
+            gate: Mutex::new(None),
+        });
+        if step == Interleaved::CoRaterDelta {
+            // `apply_delta`'s precondition: the editor's pre-change list
+            // is cached (which also keeps the index out of the cold
+            // no-op).
+            let _ = index.full_peers(&parked, self.editor);
+        }
+        *parked.gate.lock().unwrap() = Some((entered_tx, release_rx));
+        let index = Arc::new(index);
+        let filler = {
+            let (index, parked, target) = (Arc::clone(&index), Arc::clone(&parked), self.target);
+            std::thread::spawn(move || index.full_peers(&parked, target))
+        };
+        entered_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the fill of the target parks inside its kernel pass");
+        *parked.data.lock().unwrap() = after;
+        match step {
+            Interleaved::InvalidateAll => index.invalidate_all(),
+            Interleaved::CoRaterDelta => {
+                let outcome = index.apply_delta(parked.as_ref(), self.editor);
+                assert!(
+                    matches!(outcome, DeltaOutcome::Spliced { .. }),
+                    "the delta must splice, got {outcome:?}"
+                );
+            }
+        }
+        release_tx.send(()).unwrap();
+        filler.join().unwrap();
+        if let Some(cached) = index.cached_full(self.target) {
+            assert_eq!(
+                cached, self.want,
+                "{step:?}: a fill computed before the change was published after it"
+            );
+        }
+        assert_eq!(
+            index.full_peers(parked.as_ref(), self.target),
+            self.want,
+            "{step:?}"
+        );
+    }
+}
+
+#[test]
+fn parked_fills_lose_to_concurrent_maintenance() {
+    let interleaving = Interleaving::new();
+    let selector = PeerSelector::new(0.0).unwrap();
+    for step in [Interleaved::InvalidateAll, Interleaved::CoRaterDelta] {
+        let one = ShardSpec::new(1).unwrap();
+        interleaving.run(PeerIndex::new(selector, NUM_USERS), one, step);
+        for num_shards in [1, 4] {
+            let spec = ShardSpec::new(num_shards).unwrap();
+            interleaving.run(ShardedPeerIndex::new(selector, spec, NUM_USERS), spec, step);
+        }
+    }
 }

@@ -196,7 +196,7 @@ proptest! {
                     user,
                 );
                 prop_assert!(
-                    matches!(report.outcome, DeltaOutcome::Spliced { .. }),
+                    matches!(report, DeltaOutcome::Spliced { .. }),
                     "warm sharded index must splice exactly, got {:?}",
                     report
                 );
@@ -257,7 +257,7 @@ proptest! {
             &ShardedRatingsSimilarity::new(&part).with_min_overlap(min_overlap),
             newcomer,
         );
-        let spliced = matches!(report.outcome, DeltaOutcome::Spliced { .. });
+        let spliced = matches!(report, DeltaOutcome::Spliced { .. });
         prop_assert!(spliced, "expected an exact splice, got {:?}", report);
         // The serving slot lives in the hash-assigned owning shard.
         prop_assert_eq!(index.shard_of(newcomer), part.spec().shard_of(newcomer));

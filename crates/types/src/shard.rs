@@ -36,6 +36,15 @@
 //!   larger than all existing ones, so appending keeps every remap
 //!   sorted without a rescan.
 //!
+//! **One shard is the monolithic matrix.** The engine's store is always
+//! a [`ShardedRatingMatrix`], `S = 1` by default. With one shard every
+//! remap is the identity, and two rules make it cost nothing:
+//! [`ShardedRatingMatrix::from_owned`] moves the input matrix into the
+//! shard instead of copying it through its triples, and
+//! [`IdRemap::local_of`] answers in O(1) when the remap is the identity
+//! — read off the data (an ascending list of `k` distinct ids whose last
+//! is `k − 1` is exactly `0..k`), so no flag can disagree with it.
+//!
 //! Out-of-range item lookups on a shard matrix answer empty (the
 //! [`RatingMatrix`] guard), so shards whose item spaces lag behind a
 //! growth event degrade safely: a column a shard has never seen is an
@@ -153,8 +162,15 @@ impl IdRemap {
     }
 
     /// The local id of `global`, or `None` when this shard does not own
-    /// it. O(log k) binary search over the owned list.
+    /// it. O(1) when the remap is the identity (a single shard, read off
+    /// the data: an ascending list of `k` distinct ids ending at `k - 1`
+    /// is `0..k`); otherwise an O(log k) binary search over the owned
+    /// list.
     pub fn local_of(&self, global: UserId) -> Option<UserId> {
+        let k = self.owned.len();
+        if self.owned.last().is_some_and(|last| last.index() + 1 == k) {
+            return (global.index() < k).then_some(global);
+        }
         self.owned
             .binary_search(&global)
             .ok()
@@ -333,7 +349,7 @@ pub struct ShardedRatingMatrix {
 
 impl ShardedRatingMatrix {
     /// Partitions `matrix` into `spec.num_shards()` compacted
-    /// shard-local matrices.
+    /// shard-local matrices, copying it through its triple relation.
     ///
     /// # Errors
     /// Propagates shard-matrix build failures (cannot occur for a valid
@@ -345,6 +361,32 @@ impl ShardedRatingMatrix {
             matrix.num_users(),
             matrix.num_items(),
         )
+    }
+
+    /// Like [`from_matrix`](Self::from_matrix), but takes ownership: with
+    /// one shard the matrix **moves** into the single shard under the
+    /// identity remap — no copy, no re-sort — so `S = 1` stores exactly
+    /// the monolithic matrix.
+    ///
+    /// # Errors
+    /// As [`from_matrix`](Self::from_matrix).
+    pub fn from_owned(matrix: RatingMatrix, spec: ShardSpec) -> Result<Self> {
+        if spec.num_shards() > 1 {
+            return Self::from_matrix(&matrix, spec);
+        }
+        let (n_users, n_items) = (matrix.num_users(), matrix.num_items());
+        let remap = IdRemap {
+            owned: (0..n_users).map(UserId::new).collect(),
+        };
+        Ok(Self {
+            spec,
+            shards: vec![ShardMatrix {
+                remap,
+                local: matrix,
+            }],
+            n_users,
+            n_items,
+        })
     }
 
     /// Builds the partition directly from a triple relation — the
@@ -610,6 +652,30 @@ impl ShardedRatingMatrix {
         out.sort_unstable_by_key(|t| (t.user, t.item));
         out
     }
+
+    /// Re-materialises the relation as one monolithic [`RatingMatrix`]
+    /// with identical id-space dimensions — the test-oracle and rebuild
+    /// helper (e.g. seeding a fresh engine from a live one). Bitwise
+    /// faithful: the builder ingests the sorted triple relation, which
+    /// is exactly the order a monolithic build sums in.
+    ///
+    /// # Errors
+    /// Propagates builder failures (cannot occur for a valid partition).
+    pub fn to_monolithic(&self) -> Result<RatingMatrix> {
+        let mut builder = RatingMatrixBuilder::with_capacity(self.num_ratings())
+            .reserve_ids(self.n_users, self.n_items);
+        for t in self.to_triples() {
+            builder.add(t.user, t.item, t.rating);
+        }
+        builder.build()
+    }
+
+    /// The store as a type-erased [`RatingsRead`](crate::RatingsRead)
+    /// view, for consumers that hold `&dyn RatingsRead` (observers,
+    /// monitors).
+    pub fn reads(&self) -> &dyn crate::RatingsRead {
+        self
+    }
 }
 
 #[cfg(test)]
@@ -685,6 +751,28 @@ mod tests {
         assert_eq!(sharded.shard(0).local().num_users(), m.num_users());
         assert_eq!(sharded.shard(0).local().num_items(), m.num_items());
         assert_eq!(sharded.num_ratings(), m.num_ratings());
+    }
+
+    #[test]
+    fn an_owned_single_shard_moves_in_under_the_identity_remap() {
+        let m = sample();
+        let owned = ShardedRatingMatrix::from_owned(m.clone(), ShardSpec::new(1).unwrap()).unwrap();
+        let copied = ShardedRatingMatrix::from_matrix(&m, ShardSpec::new(1).unwrap()).unwrap();
+        assert_eq!(owned.shard(0).remap(), copied.shard(0).remap());
+        assert_eq!(owned.to_triples(), m.to_triples());
+        assert_eq!(owned.to_monolithic().unwrap().to_triples(), m.to_triples());
+        assert_eq!(owned.num_users(), m.num_users());
+        assert_eq!(owned.num_items(), m.num_items());
+        let remap = owned.shard(0).remap();
+        for u in 0..m.num_users() + 2 {
+            let u = UserId::new(u);
+            let expect = (u.raw() < m.num_users()).then_some(u);
+            assert_eq!(remap.local_of(u), expect, "identity remap, user {u}");
+        }
+        // More than one shard still partitions.
+        let four = ShardedRatingMatrix::from_owned(m.clone(), ShardSpec::new(4).unwrap()).unwrap();
+        assert_eq!(four.num_shards(), 4);
+        assert_eq!(four.to_triples(), m.to_triples());
     }
 
     #[test]

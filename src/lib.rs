@@ -62,14 +62,16 @@
 //!     │                    (Definition 1), masked group views
 //!   core           Equation 1 scoring over candidates (parallel map),
 //!     │            Definition 2 aggregation, Algorithm 1 selection
-//!   engine         RecommenderEngine: owns data + backend + PeerIndex,
+//!   engine         RecommenderEngine: owns one store + one index
+//!                  (S shards, S = 1 by default) + backend,
 //!                  recommend_for_group / recommend_batch fan-out
 //! ```
 //!
 //! * **Build once.** [`RecommenderEngine::new`](engine::RecommenderEngine::new) constructs the
 //!   configured similarity backend over `Arc`s of the engine's data and
-//!   attaches one [`PeerIndex`](similarity::PeerIndex); nothing is
-//!   rebuilt per request. The MapReduce pipeline
+//!   attaches one [`ShardedPeerIndex`](similarity::ShardedPeerIndex) —
+//!   a [`PeerIndex`](similarity::PeerIndex) per shard, one shard by
+//!   default; nothing is rebuilt per request. The MapReduce pipeline
 //!   ([`mapreduce_group_predictions`](mapreduce::mapreduce_group_predictions))
 //!   feeds its Job 2 similarity edges through the same index type
 //!   (`PeerIndex::from_edges`), so Definition 1 semantics — canonical
@@ -90,8 +92,8 @@
 //!   mask co-members and truncate to `max_peers`, which is provably
 //!   equivalent to recomputing with an exclusion set. Entries are never
 //!   revalidated; instead the rating relation is live:
-//!   `RecommenderEngine::ingest_rating` patches the matrix in place and
-//!   repairs the warm index exactly with `PeerIndex::apply_delta` (one
+//!   `RecommenderEngine::ingest_rating` patches the owning shard in place
+//!   and repairs the warm index exactly with `apply_delta` (one
 //!   kernel pass for the changed user, spliced into the affected lists
 //!   — bitwise identical to a cold rebuild); `remove_rating` shrinks
 //!   through the same machinery. Bulk loads go through

@@ -66,20 +66,29 @@ fn content_measures_rescue_cold_groups() {
             semantic: 1.0,
         },
     ] {
-        let ontology = fairrec::ontology::snomed::clinical_fragment();
-        let engine = RecommenderEngine::new(
-            matrix.clone(),
-            profiles.clone(),
-            ontology,
-            EngineConfig {
-                similarity,
-                pad_to_z: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        // `None` and `Some(1)` are the same one-shard store and must
+        // serve the same package; more shards need the ratings backend.
+        let engine = |num_shards| {
+            RecommenderEngine::new(
+                matrix.clone(),
+                profiles.clone(),
+                fairrec::ontology::snomed::clinical_fragment(),
+                EngineConfig {
+                    similarity,
+                    pad_to_z: false,
+                    num_shards,
+                    ..Default::default()
+                },
+            )
+        };
+        assert!(engine(Some(2)).is_err(), "{similarity:?}");
         let group = Group::new(GroupId::new(0), cold.clone()).unwrap();
-        let rec = engine.recommend_for_group(&group, 6).unwrap();
+        let rec = engine(None)
+            .unwrap()
+            .recommend_for_group(&group, 6)
+            .unwrap();
+        let one_shard = engine(Some(1)).unwrap().recommend_for_group(&group, 6);
+        assert_eq!(one_shard.unwrap(), rec, "{similarity:?}");
         assert_eq!(rec.items.len(), 6, "{similarity:?}");
         assert!(
             (rec.fairness - 1.0).abs() < 1e-12,

@@ -1,9 +1,11 @@
 //! Persistence integration: a dataset written to disk and reloaded drives
-//! the engine to identical recommendations.
+//! the engine to identical recommendations, and the TSV readers meet
+//! arbitrary input with a typed error, never a panic.
 
 use fairrec::data::tsv;
 use fairrec::ontology::codec;
 use fairrec::prelude::*;
+use proptest::prelude::*;
 use std::io::BufReader;
 
 #[test]
@@ -74,4 +76,50 @@ fn files_are_human_readable() {
     assert!(text.lines().next().unwrap().starts_with('#'));
     assert!(text.contains("Acute bronchitis"));
     assert!(text.contains("10509002"));
+}
+
+/// A file of up to six generated lines, each shaped like a ratings,
+/// profiles or documents row (so the readers get past their field-count
+/// checks) or free-form: ids below 10⁴ (`I`, `J`), the reserved
+/// sentinel `4294967295`, and tokens valid in some column or in none.
+fn file_strategy() -> impl Strategy<Value = String> {
+    let line = (
+        "(I|4294967295|x)\t(J|4294967295)\t(1|2.5|5|0|9.5|NaN)\
+         |(I|4294967295|-1)\t(female|male|robot)\t(-|44|256)\t(|10509002|BOGUS|,)\t(|a|b|)\t(|c)\
+         |(I|4294967295|x)\t(J|x)\t(|t)\t(|b\tc)\
+         |(I|x|# c|)(\t(J|4294967295|-|female|3))*",
+        0u32..10_000,
+        0u32..10_000,
+    )
+        .prop_map(|(line, i, j)| {
+            line.replace('I', &i.to_string())
+                .replace('J', &j.to_string())
+        });
+    proptest::collection::vec(line, 0..7).prop_map(|lines| lines.join("\n"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every reader answers arbitrary lines with `Ok` or a typed `Err`
+    /// and never panics or aborts; the reserved id `4294967295` is an
+    /// error wherever it names a user.
+    #[test]
+    fn tsv_readers_never_panic_on_generated_input(text in file_strategy()) {
+        let ontology = fairrec::ontology::snomed::clinical_fragment();
+        let ratings = tsv::read_ratings(BufReader::new(text.as_bytes()), None);
+        let padded = tsv::read_ratings(BufReader::new(text.as_bytes()), Some((7, 11)));
+        prop_assert_eq!(ratings.is_ok(), padded.is_ok());
+        let profiles = tsv::read_profiles(BufReader::new(text.as_bytes()), &ontology);
+        let documents = tsv::read_documents(BufReader::new(text.as_bytes()));
+        if let Ok(matrix) = ratings {
+            prop_assert!(matrix.num_users() <= 10_000 && matrix.num_items() <= 10_000);
+        }
+        if let Ok(store) = profiles {
+            prop_assert!(store.iter().all(|p| p.user.raw() < 10_000));
+        }
+        if let Ok(docs) = documents {
+            prop_assert!(docs.len() <= 6);
+        }
+    }
 }
