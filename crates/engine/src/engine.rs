@@ -1779,10 +1779,13 @@ mod tests {
     }
 
     #[test]
+    fn ingest_stream_matches_fresh_engine_bitwise() {
+        ingest_stream_matches_fresh_engine(None);
+    }
+
+    #[test]
     fn sharded_ingest_stream_matches_fresh_engine_bitwise() {
-        for num_shards in [None, Some(3)] {
-            ingest_stream_matches_fresh_engine(num_shards);
-        }
+        ingest_stream_matches_fresh_engine(Some(3));
     }
 
     fn ingest_stream_matches_fresh_engine(num_shards: Option<u32>) {
