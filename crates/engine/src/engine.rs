@@ -355,11 +355,8 @@ impl RecommenderEngine {
         ontology: &Arc<Ontology>,
         profile_sim: &Arc<ProfileSimilarity>,
     ) -> Box<dyn BulkUserSimilarity + Send + Sync> {
-        let pearson = || {
-            ShardedRatingsSimilarity::new(Arc::clone(store)).with_min_overlap(config.min_overlap)
-        };
         match config.similarity {
-            SimilarityKind::Ratings => Box::new(pearson()),
+            SimilarityKind::Ratings => Box::new(Self::pearson(config, store)),
             SimilarityKind::Profile => Box::new(Arc::clone(profile_sim)),
             SimilarityKind::Semantic => Box::new(SemanticSimilarity::new(
                 Arc::clone(profiles),
@@ -371,7 +368,7 @@ impl RecommenderEngine {
                 semantic,
             } => Box::new(
                 HybridSimilarity::new()
-                    .with(Rescale01::new(pearson()), ratings)
+                    .with(Rescale01::new(Self::pearson(config, store)), ratings)
                     .with(Arc::clone(profile_sim), profile)
                     .with(
                         SemanticSimilarity::new(Arc::clone(profiles), Arc::clone(ontology)),
@@ -379,6 +376,15 @@ impl RecommenderEngine {
                     ),
             ),
         }
+    }
+
+    /// The configured Pearson measure over the sharded store — the
+    /// `Ratings` backend and `Hybrid`'s ratings term.
+    fn pearson(
+        config: &EngineConfig,
+        store: &Arc<ShardedRatingMatrix>,
+    ) -> ShardedRatingsSimilarity {
+        ShardedRatingsSimilarity::new(Arc::clone(store)).with_min_overlap(config.min_overlap)
     }
 
     /// The rating store: the compacted `S`-shard partition (one shard
@@ -433,8 +439,7 @@ impl RecommenderEngine {
             SimilarityKind::Ratings => {
                 // The shard-pair warm needs the typed measure; the boxed
                 // one is the same measure, type-erased.
-                let pearson = ShardedRatingsSimilarity::new(Arc::clone(&self.store))
-                    .with_min_overlap(self.config.min_overlap);
+                let pearson = Self::pearson(&self.config, &self.store);
                 self.peers.warm_symmetric(&pearson, parallelism)
             }
             _ => self.peers.warm(&self.measure, parallelism),
@@ -1195,7 +1200,8 @@ mod tests {
         use fairrec_core::recommend::single_user_top_k;
         use fairrec_similarity::{PeerIndex, RatingsSimilarity};
         let m = Arc::new(e.ratings().to_monolithic().unwrap());
-        let pearson = || RatingsSimilarity::new(Arc::clone(&m)).with_min_overlap(2);
+        let pearson =
+            || RatingsSimilarity::new(Arc::clone(&m)).with_min_overlap(e.config().min_overlap);
         let measure: Box<dyn BulkUserSimilarity + Send + Sync> = match e.config().similarity {
             SimilarityKind::Ratings => Box::new(pearson()),
             SimilarityKind::Profile => Box::new(Arc::clone(&e.profile_sim)),
@@ -1805,7 +1811,14 @@ mod tests {
             (UserId::new(17), ItemId::new(3), 5.0), // update
             (UserId::new(grown - 1), ItemId::new(7), 3.0),
         ];
-        for &(u, i, s) in &events {
+        for (n, &(u, i, s)) in events.iter().enumerate() {
+            if n == events.len() - 1 {
+                assert_eq!(
+                    live.peer_index().num_cached(),
+                    live.ratings().num_users() as usize,
+                    "the index must stay fully warm through a delta stream"
+                );
+            }
             let report = live.ingest_rating(u, i, s).unwrap();
             assert!(
                 matches!(report.peers, PeerMaintenance::DeltaSpliced { .. }),
@@ -1813,25 +1826,33 @@ mod tests {
             );
         }
         assert_eq!(live.peer_index().num_users(), grown);
-        // The new user landed in (and is served from) its owning shard.
+        // The new user landed in (and is served from) its owning shard;
+        // only the never-rated gap user `grown - 2` is left cold.
         assert!(live
             .peer_index()
             .cached_full(UserId::new(grown - 1))
             .is_some());
+        assert_eq!(live.peer_index().num_cached(), grown as usize - 1);
 
         let fresh = rebuilt_engine(&live);
         fresh.warm_peer_index();
-        // `full_peers` rather than `cached_full`: the in-place growth
-        // leaves the never-rated gap user's slot lazily cold while the
-        // fresh warm caches its empty list — the served lists must agree
-        // either way.
-        for u in (0..grown).map(UserId::new) {
+        // Compare the cached lists, so a delta path that left an endpoint
+        // cold instead of splicing it fails here. The gap user's slot is
+        // lazily cold on `live` while the fresh warm caches its empty
+        // list; its served list must still agree.
+        let gap = UserId::new(grown - 2);
+        for u in (0..grown).map(UserId::new).filter(|&u| u != gap) {
             assert_eq!(
-                live.peer_index().full_peers(live.measure(), u),
-                fresh.peer_index().full_peers(fresh.measure(), u),
+                live.peer_index().cached_full(u),
+                fresh.peer_index().cached_full(u),
                 "peer list of {u}"
             );
         }
+        assert_eq!(
+            live.peer_index().full_peers(live.measure(), gap),
+            fresh.peer_index().full_peers(fresh.measure(), gap),
+            "peer list of the gap user {gap}"
+        );
         assert_eq!(
             live.recommend_for_group(&g, 6).unwrap(),
             fresh.recommend_for_group(&g, 6).unwrap(),

@@ -107,7 +107,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotone counters of one server's life, snapshotted by
+/// Never-decreasing counters of one server's life, snapshotted by
 /// [`Server::stats`]. Rejection counters are server-side decisions;
 /// a caller-side [`Ticket::wait`] timeout is not counted (the server
 /// may still triage the same request later — one rejection, one count).
