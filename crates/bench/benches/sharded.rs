@@ -16,7 +16,6 @@
 use criterion::{criterion_group, criterion_main, record_scalar, BenchmarkId, Criterion};
 use fairrec_bench::{bench_thread_counts, bench_users};
 use fairrec_data::{SyntheticConfig, SyntheticDataset};
-use fairrec_mapreduce::{distributed_warm_with, FaultPlan, JobConfig, RetryPolicy};
 use fairrec_ontology::snomed::clinical_fragment;
 use fairrec_similarity::{
     PeerIndex, PeerSelector, RatingsSimilarity, ShardedPeerIndex, ShardedRatingsSimilarity,
@@ -104,52 +103,6 @@ fn bench_sharded_warm(c: &mut Criterion) {
         }
     }
 
-    // Fault-hook pricing: the distributed warm (the retrying MapReduce
-    // path) plan-free vs with a zero-rate `FaultPlan` installed. The
-    // rows differ only in whether the injection sites take their slow
-    // path, so their same-run ratio prices the hooks themselves;
-    // `scripts/bench_summary` fails hard when it exceeds ×1.1, and
-    // `scripts/bench_trajectory` commits it as `fault_hooks_overhead`.
-    // The straggler timer is pinned (instead of the plan-armed default)
-    // so both rows run the identical retry policy.
-    let part = partitions.last().expect("shard counts are non-empty");
-    let policy = RetryPolicy {
-        straggler_timeout: Some(std::time::Duration::from_secs(600)),
-        ..RetryPolicy::default()
-    };
-    for threads in bench_thread_counts() {
-        let config = JobConfig {
-            num_workers: threads,
-            num_partitions: threads.max(4),
-        };
-        bench.bench_with_input(
-            BenchmarkId::new("distributed_plan_free", threads),
-            &threads,
-            |b, _| {
-                b.iter(|| {
-                    let index = ShardedPeerIndex::new(selector, part.spec(), num_users);
-                    black_box(
-                        distributed_warm_with(part, &index, 2, config, policy)
-                            .expect("valid schedule"),
-                    )
-                })
-            },
-        );
-        bench.bench_with_input(
-            BenchmarkId::new("distributed_zero_fault", threads),
-            &threads,
-            |b, _| {
-                let _plan = FaultPlan::zero(0).install();
-                b.iter(|| {
-                    let index = ShardedPeerIndex::new(selector, part.spec(), num_users);
-                    black_box(
-                        distributed_warm_with(part, &index, 2, config, policy)
-                            .expect("valid schedule"),
-                    )
-                })
-            },
-        );
-    }
     bench.finish();
 
     // Resident-set trajectory: the compacted per-shard id spaces are the

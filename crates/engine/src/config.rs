@@ -65,7 +65,7 @@ pub enum IngestPolicy {
 ///
 /// The engine always predicts in memory. The paper's §IV MapReduce
 /// formulation is a separate entry point
-/// ([`fairrec_mapreduce::mapreduce_group_predictions`]); its predictions
+/// (`fairrec_mapreduce::mapreduce_group_predictions`); its predictions
 /// are served through
 /// [`RecommenderEngine::recommend_from_predictions`](crate::RecommenderEngine::recommend_from_predictions).
 #[derive(Debug, Clone, Copy, PartialEq)]

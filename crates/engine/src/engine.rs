@@ -893,7 +893,7 @@ impl RecommenderEngine {
 
     /// Recommends the top-z package for `group` from predictions computed
     /// elsewhere — e.g. by the §IV MapReduce pipeline
-    /// ([`fairrec_mapreduce::mapreduce_group_predictions`]). This is the
+    /// (`fairrec_mapreduce::mapreduce_group_predictions`). This is the
     /// selection half of [`recommend_for_group`](Self::recommend_for_group),
     /// which funnels through here: candidate pool → configured selection
     /// algorithm → optional padding → assembly → observer. Predictions

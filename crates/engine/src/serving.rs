@@ -63,7 +63,6 @@
 
 use crate::engine::{GroupRecommendation, RecommenderEngine};
 use fairrec_core::group::Group;
-use fairrec_mapreduce::fault::{self, FaultSite};
 use fairrec_types::{Deadline, FairrecError, Result, UserId};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -251,6 +250,11 @@ struct ServerCore {
     /// it).
     idle: Condvar,
     stats: Stats,
+    /// Runs inside the panic containment before each batch computation,
+    /// with the batch's sequence number: lets tests panic or stall a
+    /// dispatch.
+    #[cfg(test)]
+    dispatch_hook: Option<Box<dyn Fn(u64) + Send + Sync>>,
 }
 
 /// A submitted request's claim ticket: wait on it for the result.
@@ -363,8 +367,24 @@ impl Server {
                 }),
                 idle: Condvar::new(),
                 stats: Stats::default(),
+                #[cfg(test)]
+                dispatch_hook: None,
             }),
         }
+    }
+
+    /// [`new`](Self::new) with `hook` run before each batch computation.
+    #[cfg(test)]
+    fn with_dispatch_hook(
+        engine: Arc<RecommenderEngine>,
+        config: ServerConfig,
+        hook: impl Fn(u64) + Send + Sync + 'static,
+    ) -> Self {
+        let mut server = Self::new(engine, config);
+        Arc::get_mut(&mut server.core)
+            .expect("a new server's core is unshared")
+            .dispatch_hook = Some(Box::new(hook));
+        server
     }
 
     /// The shared engine.
@@ -622,10 +642,9 @@ impl ServerCore {
 
     /// One fan-out over the claimed batch, then per-slot delivery.
     ///
-    /// Two degradation mechanisms run here. A panic inside the engine
-    /// (or injected at the `Dispatch` fault site) is caught and
-    /// delivered as a typed [`FairrecError::Internal`] to every waiter
-    /// of the batch — the dispatcher survives. And the fan-out runs
+    /// Two degradation mechanisms run here. A panic inside the engine is
+    /// caught and delivered as a typed [`FairrecError::Internal`] to every
+    /// waiter of the batch — the dispatcher survives. And the fan-out runs
     /// through the engine's deadline-budget checkpoints: before each
     /// request's kernel work starts, the dispatcher re-checks whether
     /// that slot still has a live waiter, so a batch whose waiters all
@@ -635,6 +654,7 @@ impl ServerCore {
         if batch.is_empty() {
             return;
         }
+        #[cfg_attr(not(test), allow(unused_variables))]
         let batch_seq = self.stats.batches.fetch_add(1, Ordering::AcqRel);
         let specs: Vec<(Group, usize)> = batch
             .iter()
@@ -650,7 +670,10 @@ impl ServerCore {
             live
         };
         let outcomes = catch_unwind(AssertUnwindSafe(|| {
-            let _ = fault::perturb(FaultSite::Dispatch, batch_seq, 0);
+            #[cfg(test)]
+            if let Some(hook) = &self.dispatch_hook {
+                hook(batch_seq);
+            }
             self.engine
                 .recommend_requests_budgeted(&specs, &should_compute)
         }));
@@ -926,5 +949,162 @@ mod tests {
             stats.batches >= 2,
             "6 slots at max_batch 4 need ≥ 2 fan-outs"
         );
+    }
+
+    /// The panic-containment and deadline-budget contracts, driven by
+    /// the dispatch hook.
+    mod chaos {
+        use super::*;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Once;
+
+        fn quiet_injected_panics() {
+            static HOOK: Once = Once::new();
+            HOOK.call_once(|| {
+                let previous = std::panic::take_hook();
+                std::panic::set_hook(Box::new(move |info| {
+                    let payload = info.payload();
+                    let message = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied())
+                        .unwrap_or("");
+                    if !message.starts_with("injected fault") {
+                        previous(info);
+                    }
+                }));
+            });
+        }
+
+        #[test]
+        fn dispatcher_panics_are_contained_and_every_ticket_resolves() {
+            quiet_injected_panics();
+            let engine = engine();
+            // Every batch computation panics while armed — batch sizing
+            // varies with dispatcher timing, so only an all-or-nothing
+            // rate is deterministic. (Recovery of the same server is
+            // probed below, once the hook is disarmed.)
+            let armed = Arc::new(AtomicBool::new(true));
+            let server = {
+                let armed = Arc::clone(&armed);
+                Server::with_dispatch_hook(
+                    Arc::clone(&engine),
+                    ServerConfig {
+                        queue_capacity: 256,
+                        max_batch: 4,
+                        workers: 2,
+                    },
+                    move |batch| {
+                        if armed.load(Ordering::Acquire) {
+                            panic!("injected fault: dispatch batch {batch}");
+                        }
+                    },
+                )
+            };
+
+            // 48 submissions over 8 distinct groups: coalescing plus
+            // small batches, every one of which the dispatcher must
+            // survive.
+            let tickets: Vec<_> = (0..48)
+                .map(|i| {
+                    server
+                        .submit(group(i % 8), 5, Deadline::within(Duration::from_secs(30)))
+                        .unwrap()
+                })
+                .collect();
+            let mut internal = 0usize;
+            for ticket in tickets {
+                match ticket.wait() {
+                    Err(FairrecError::Internal { .. }) => internal += 1,
+                    outcome => panic!("expected a typed Internal rejection, got {outcome:?}"),
+                }
+            }
+            assert_eq!(internal, 48, "every ticket must resolve, none may hang");
+
+            // Disarmed: the same server (same dispatchers, same locks)
+            // must answer cleanly — the panics leaked no poisoned state.
+            armed.store(false, Ordering::Release);
+            let healthy = server
+                .recommend(group(3), 5, Deadline::none())
+                .expect("server must stay serviceable after contained panics");
+            assert!(!healthy.items.is_empty());
+
+            let stats = server.shutdown();
+            assert!(stats.panics_caught > 0, "{stats:?}");
+            assert_eq!(
+                stats.completed, stats.submitted,
+                "every admitted slot must be delivered exactly once: {stats:?}"
+            );
+        }
+
+        #[test]
+        fn stalled_batch_is_cut_short_by_the_deadline_budget() {
+            let engine = engine();
+            // Every batch stalls 200 ms before computing; the requests
+            // carry 50 ms deadlines, so they are alive at claim time but
+            // lapsed at every budget checkpoint. `workers: 0`: nothing
+            // drains until shutdown, so claim happens deterministically
+            // after all three submits.
+            let server = Server::with_dispatch_hook(
+                Arc::clone(&engine),
+                ServerConfig {
+                    queue_capacity: 64,
+                    max_batch: 16,
+                    workers: 0,
+                },
+                |_| std::thread::sleep(Duration::from_millis(200)),
+            );
+            let tickets: Vec<_> = (0..3)
+                .map(|i| {
+                    server
+                        .submit(group(i), 4, Deadline::within(Duration::from_millis(50)))
+                        .unwrap()
+                })
+                .collect();
+            let stats = server.shutdown();
+
+            assert_eq!(stats.batches, 1, "one claimed batch: {stats:?}");
+            assert_eq!(
+                stats.budget_cancelled, 3,
+                "all three requests lapsed mid-batch: {stats:?}"
+            );
+            assert_eq!(stats.completed, 3, "skipped slots still resolve: {stats:?}");
+            for ticket in tickets {
+                assert!(
+                    matches!(ticket.wait(), Err(FairrecError::DeadlineExpired)),
+                    "a budget-cancelled request resolves to DeadlineExpired"
+                );
+            }
+        }
+
+        #[test]
+        fn shutdown_drains_even_when_every_batch_panics() {
+            quiet_injected_panics();
+            let engine = engine();
+            let server = Server::with_dispatch_hook(
+                Arc::clone(&engine),
+                ServerConfig {
+                    queue_capacity: 64,
+                    max_batch: 16,
+                    workers: 0,
+                },
+                |batch| panic!("injected fault: dispatch batch {batch}"),
+            );
+            let tickets: Vec<_> = (0..5)
+                .map(|i| server.submit(group(i), 5, Deadline::none()).unwrap())
+                .collect();
+            // The inline drain's only batch panics; shutdown must still
+            // terminate with every slot delivered a typed rejection.
+            let stats = server.shutdown();
+
+            assert_eq!(stats.panics_caught, 1, "{stats:?}");
+            assert_eq!(stats.completed, 5, "{stats:?}");
+            for ticket in tickets {
+                assert!(
+                    matches!(ticket.wait(), Err(FairrecError::Internal { .. })),
+                    "a panicked batch resolves every waiter with a typed Internal error"
+                );
+            }
+        }
     }
 }

@@ -16,30 +16,15 @@
 //! suite assert byte-equality between 1-worker and N-worker runs, and
 //! between the MapReduce pipeline and the in-memory reference.
 //!
-//! **Fault tolerance.** Every chunk (map side) and partition (reduce
-//! side) is a *task* executed under `catch_unwind`; a panicking attempt
-//! is retried with exponential backoff up to [`RetryPolicy::max_attempts`],
-//! and attempts that stay silent past the straggler timeout are
-//! speculatively re-issued (lost results are recovered this way). Task
-//! payloads are cloned per attempt, so re-execution is idempotent by
-//! construction, and the driver keeps only the *first* result delivered
-//! per task — at-least-once execution therefore produces bitwise the
-//! same output as exactly-once. When a task exhausts its budget,
-//! [`try_run_job`] returns a typed
-//! [`FairrecError::TaskFailed`] inside a [`JobFailure`] that still
-//! carries truthful metrics. Seeded chaos comes from
-//! [`crate::fault`]; with no plan installed the injection sites are one
-//! relaxed atomic load.
-//!
-//! Threads come from `std::thread::scope`; a `crossbeam` MPMC channel
-//! feeds `(task, attempt)` pairs to workers and a result channel feeds
-//! outcomes back to the retry driver (simple dynamic load balancing).
+//! Threads come from `std::thread::scope`; workers claim task indices
+//! from one atomic counter (simple dynamic load balancing) and results
+//! are placed by task index. A panicking mapper or reducer propagates out
+//! of [`run_job`] with its original payload.
 
-use crate::fault::{self, FaultAction, FaultSite};
-use crossbeam::channel::{self, RecvTimeoutError};
-use fairrec_types::FairrecError;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The map side of a job.
@@ -97,51 +82,6 @@ impl JobConfig {
     }
 }
 
-/// Retry/backoff knobs for fault-tolerant task execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum attempts per task, including the first (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before retry `i` (1-based) is `backoff_base × 2^(i−1)`,
-    /// capped at [`backoff_cap`](Self::backoff_cap).
-    pub backoff_base: Duration,
-    /// Upper bound on a single backoff delay.
-    pub backoff_cap: Duration,
-    /// Speculatively re-issue a task whose newest attempt has been
-    /// outstanding this long. `None` enables a conservative default
-    /// (300 ms) only while a fault plan is installed — lost results can
-    /// only occur under injection, so production runs never arm the
-    /// timer unless asked to.
-    pub straggler_timeout: Option<Duration>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(200),
-            straggler_timeout: None,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries: any task panic fails the job on the
-    /// first attempt.
-    pub fn no_retries() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
-    fn backoff_for(&self, completed_attempts: u32) -> Duration {
-        let factor = 1u32 << completed_attempts.saturating_sub(1).min(16);
-        (self.backoff_base * factor).min(self.backoff_cap)
-    }
-}
-
 /// Counters and timings of one job run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JobMetrics {
@@ -157,17 +97,6 @@ pub struct JobMetrics {
     pub map_duration: Duration,
     /// Wall-clock duration of the sort+reduce phase.
     pub reduce_duration: Duration,
-    /// Task attempts launched (first attempts + retries + speculative).
-    pub attempts: usize,
-    /// Attempts launched because a prior attempt panicked.
-    pub retries: usize,
-    /// Worker panics caught by the per-attempt `catch_unwind`.
-    pub panics_caught: usize,
-    /// Speculative re-executions triggered by the straggler timeout.
-    pub speculative: usize,
-    /// Task results discarded because the task had already completed
-    /// (duplicated deliveries, late speculative attempts).
-    pub duplicate_results_ignored: usize,
 }
 
 /// Output records plus metrics.
@@ -180,26 +109,6 @@ pub struct JobResult<Out> {
     pub metrics: JobMetrics,
 }
 
-/// A job that exhausted its retry budget. Metrics are still truthful
-/// (they cover everything up to and including the failing phase) so
-/// callers can build honest degradation receipts.
-#[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Why the job failed — [`FairrecError::TaskFailed`] for retry
-    /// exhaustion, [`FairrecError::Internal`] for engine invariants.
-    pub error: FairrecError,
-    /// Counters accumulated before the failure.
-    pub metrics: JobMetrics,
-}
-
-impl std::fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "mapreduce job failed: {}", self.error)
-    }
-}
-
-impl std::error::Error for JobFailure {}
-
 fn partition_of<K: Hash>(key: &K, num_partitions: usize) -> usize {
     // DefaultHasher with default keys is deterministic across processes.
     let mut h = DefaultHasher::new();
@@ -207,288 +116,65 @@ fn partition_of<K: Hash>(key: &K, num_partitions: usize) -> usize {
     (h.finish() % num_partitions as u64) as usize
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct PhaseCounters {
-    attempts: usize,
-    retries: usize,
-    panics_caught: usize,
-    speculative: usize,
-    duplicate_results_ignored: usize,
-}
-
-enum Outcome<O> {
-    Done(O),
-    Panicked(String),
-}
-
-struct PhaseMsg<O> {
-    task: usize,
-    outcome: Outcome<O>,
-}
-
-struct TaskState {
-    /// Attempts launched so far.
-    attempts: u32,
-    /// Attempts in flight (not yet reported back).
-    outstanding: u32,
-    /// When the pending retry should be issued.
-    retry_at: Option<Instant>,
-    /// When the newest attempt was issued (straggler clock).
-    last_issue: Instant,
-    done: bool,
-}
-
-/// Runs `num_tasks` tasks over a pool of `num_workers` threads with
-/// per-task retry, backoff, and speculative re-execution. `work` must be
-/// deterministic in its task id — the driver keeps the first result per
-/// task and discards the rest, so duplicated attempts must agree.
-fn run_phase<O, F>(
-    site: FaultSite,
-    label: &str,
-    num_tasks: usize,
-    num_workers: usize,
-    policy: &RetryPolicy,
-    counters: &mut PhaseCounters,
-    work: &F,
-) -> Result<Vec<O>, FairrecError>
+/// Runs `work` once per task over up to `num_workers` scoped threads and
+/// returns the results in task order. Workers claim task indices from one
+/// atomic counter; a panicking task propagates its panic (after every
+/// worker has stopped).
+fn run_phase<T, O, F>(tasks: Vec<T>, num_workers: usize, work: F) -> Vec<O>
 where
+    T: Send,
     O: Send,
-    F: Fn(usize) -> O + Sync,
+    F: Fn(usize, T) -> O + Sync,
 {
-    if num_tasks == 0 {
-        return Ok(Vec::new());
-    }
-    let max_attempts = policy.max_attempts.max(1);
-    // Lost results (dropped deliveries) only happen under an installed
-    // fault plan, so the straggler timer arms automatically there.
-    let straggler = policy
-        .straggler_timeout
-        .or_else(|| fault::plan_installed().then(|| Duration::from_millis(300)));
-
-    let (task_tx, task_rx) = channel::unbounded::<(usize, u32)>();
-    let (res_tx, res_rx) = channel::unbounded::<PhaseMsg<O>>();
-
+    let num_tasks = tasks.len();
+    // Each task is taken exactly once, by whichever worker claims its
+    // index.
+    let tasks: Vec<Mutex<Option<T>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
     let mut results: Vec<Option<O>> = (0..num_tasks).map(|_| None).collect();
-
-    let driver = std::thread::scope(|scope| {
-        for _ in 0..num_workers.max(1) {
-            let task_rx = task_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                while let Ok((task, attempt)) = task_rx.recv() {
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let action = fault::perturb(site, task as u64, attempt);
-                        (action, work(task))
-                    }));
-                    // A closed result channel means the driver is gone
-                    // (job finished or failed): cooperative cancellation,
-                    // not a panic — the worker simply exits.
-                    let delivered = match run {
-                        Ok((FaultAction::None, out)) => res_tx
-                            .send(PhaseMsg {
-                                task,
-                                outcome: Outcome::Done(out),
-                            })
-                            .is_ok(),
-                        Ok((FaultAction::DropResult, out)) => {
-                            // Lost message: computed, never delivered.
-                            drop(out);
-                            true
-                        }
-                        Ok((FaultAction::DuplicateResult, out)) => {
-                            // At-least-once delivery: `work` is
-                            // deterministic, so recomputing yields an
-                            // identical second copy to send.
-                            res_tx
-                                .send(PhaseMsg {
-                                    task,
-                                    outcome: Outcome::Done(out),
-                                })
-                                .is_ok()
-                                && res_tx
-                                    .send(PhaseMsg {
-                                        task,
-                                        outcome: Outcome::Done(work(task)),
-                                    })
-                                    .is_ok()
-                        }
-                        Err(payload) => res_tx
-                            .send(PhaseMsg {
-                                task,
-                                outcome: Outcome::Panicked(panic_message(payload.as_ref())),
-                            })
-                            .is_ok(),
-                    };
-                    if !delivered {
-                        break;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..num_workers.min(num_tasks))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = tasks.get(i) else {
+                            return done;
+                        };
+                        let task = slot
+                            .lock()
+                            .expect("task slots are never locked across a panic")
+                            .take()
+                            .expect("each task index is claimed once");
+                        done.push((i, work(i, task)));
                     }
-                }
-            });
-        }
-        drop(task_rx);
-        drop(res_tx);
-
-        let mut drive = || -> Result<(), FairrecError> {
-            let now = Instant::now();
-            let mut states: Vec<TaskState> = (0..num_tasks)
-                .map(|_| TaskState {
-                    attempts: 1,
-                    outstanding: 1,
-                    retry_at: None,
-                    last_issue: now,
-                    done: false,
                 })
-                .collect();
-            for t in 0..num_tasks {
-                counters.attempts += 1;
-                task_tx
-                    .send((t, 0))
-                    .map_err(|_| FairrecError::internal("task channel closed at launch"))?;
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (i, out) in done {
+                        results[i] = Some(out);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
             }
-
-            let mut done_count = 0usize;
-            while done_count < num_tasks {
-                // Earliest pending timer (retry or straggler check).
-                let mut next: Option<Instant> = None;
-                for s in states.iter().filter(|s| !s.done) {
-                    let candidate = if let Some(at) = s.retry_at {
-                        Some(at)
-                    } else if let (Some(st), true) = (straggler, s.outstanding > 0) {
-                        Some(s.last_issue + st)
-                    } else {
-                        None
-                    };
-                    if let Some(c) = candidate {
-                        next = Some(next.map_or(c, |n: Instant| n.min(c)));
-                    }
-                }
-                let timeout = next
-                    .map(|d| d.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_secs(60))
-                    .max(Duration::from_millis(1));
-
-                match res_rx.recv_timeout(timeout) {
-                    Ok(PhaseMsg { task, outcome }) => {
-                        let s = &mut states[task];
-                        if s.done {
-                            counters.duplicate_results_ignored += 1;
-                        } else {
-                            match outcome {
-                                Outcome::Done(out) => {
-                                    s.done = true;
-                                    s.retry_at = None;
-                                    results[task] = Some(out);
-                                    done_count += 1;
-                                }
-                                Outcome::Panicked(_msg) => {
-                                    counters.panics_caught += 1;
-                                    s.outstanding = s.outstanding.saturating_sub(1);
-                                    if s.attempts < max_attempts {
-                                        if s.retry_at.is_none() {
-                                            s.retry_at = Some(
-                                                Instant::now() + policy.backoff_for(s.attempts),
-                                            );
-                                        }
-                                    } else if s.outstanding == 0 {
-                                        return Err(FairrecError::TaskFailed {
-                                            task: format!("{label}[{task}]"),
-                                            attempts: s.attempts,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(FairrecError::internal(
-                            "every worker exited before phase completion",
-                        ));
-                    }
-                }
-
-                // Fire due timers: scheduled retries first, then
-                // speculative re-execution of stragglers.
-                let now = Instant::now();
-                for (t, s) in states.iter_mut().enumerate() {
-                    if s.done {
-                        continue;
-                    }
-                    if s.retry_at.is_some_and(|at| at <= now) {
-                        s.retry_at = None;
-                        if s.attempts < max_attempts {
-                            s.attempts += 1;
-                            s.outstanding += 1;
-                            s.last_issue = now;
-                            counters.attempts += 1;
-                            counters.retries += 1;
-                            task_tx.send((t, s.attempts - 1)).map_err(|_| {
-                                FairrecError::internal("task channel closed during retry")
-                            })?;
-                        }
-                    } else if let Some(st) = straggler {
-                        if s.outstanding > 0
-                            && s.retry_at.is_none()
-                            && now.duration_since(s.last_issue) >= st
-                        {
-                            if s.attempts < max_attempts {
-                                s.attempts += 1;
-                                s.outstanding += 1;
-                                s.last_issue = now;
-                                counters.attempts += 1;
-                                counters.speculative += 1;
-                                task_tx.send((t, s.attempts - 1)).map_err(|_| {
-                                    FairrecError::internal("task channel closed during speculation")
-                                })?;
-                            } else if now.duration_since(s.last_issue) >= st * 4 {
-                                // Retry budget spent and nothing has
-                                // reported back for several straggler
-                                // windows: declare the results lost.
-                                return Err(FairrecError::TaskFailed {
-                                    task: format!("{label}[{t}]"),
-                                    attempts: s.attempts,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(())
-        };
-        let outcome = drive();
-        // Consume the driver closure so its borrow of the result
-        // channel ends before the task channel is closed below.
-        let _ = drive;
-        // Closing the task channel releases the workers; any queued
-        // attempts they still drain will fail to deliver (result channel
-        // dropped with the driver) and exit cleanly.
-        drop(task_tx);
-        outcome
+        }
     });
-
-    driver?;
-    Ok(results
+    results
         .into_iter()
-        .map(|r| r.expect("completed phase has a result per task"))
-        .collect())
+        .map(|r| r.expect("every task ran"))
+        .collect()
 }
 
-/// Runs one MapReduce job over `input`, panicking if the job fails even
-/// after retries.
+/// Runs one MapReduce job over `input`.
 ///
-/// See the module docs for the execution, determinism, and
-/// fault-tolerance model; use [`try_run_job`] to observe failures as
-/// typed errors instead of panics.
+/// See the module docs for the execution and determinism model.
+///
+/// # Panics
+/// Propagates a panic raised by the mapper or the reducer.
 pub fn run_job<M, R>(
     mapper: &M,
     reducer: &R,
@@ -498,49 +184,13 @@ pub fn run_job<M, R>(
 where
     M: Mapper,
     R: Reducer<Key = M::Key, Value = M::Value>,
-    M::In: Clone + Sync,
-    M::Key: Sync,
-    M::Value: Clone + Sync,
-{
-    match try_run_job(mapper, reducer, input, config, RetryPolicy::default()) {
-        Ok(result) => result,
-        Err(failure) => panic!("{failure}"),
-    }
-}
-
-/// Runs one MapReduce job over `input` with an explicit [`RetryPolicy`],
-/// returning a typed [`JobFailure`] when a task exhausts its budget.
-///
-/// # Errors
-/// [`JobFailure`] whose `error` is [`FairrecError::TaskFailed`] when a
-/// task failed every permitted attempt, or [`FairrecError::Internal`]
-/// when the engine's own channel invariants broke.
-// The Err variant is deliberately wide: it carries the failed job's
-// full `JobMetrics` so degradation receipts stay truthful, and the
-// failure path is cold.
-#[allow(clippy::result_large_err)]
-pub fn try_run_job<M, R>(
-    mapper: &M,
-    reducer: &R,
-    input: Vec<M::In>,
-    config: JobConfig,
-    policy: RetryPolicy,
-) -> Result<JobResult<R::Out>, JobFailure>
-where
-    M: Mapper,
-    R: Reducer<Key = M::Key, Value = M::Value>,
-    M::In: Clone + Sync,
-    M::Key: Sync,
-    M::Value: Clone + Sync,
 {
     let num_workers = config.num_workers.max(1);
     let num_partitions = config.num_partitions.max(1);
-    let map_input_records = input.len();
     let mut metrics = JobMetrics {
-        map_input_records,
+        map_input_records: input.len(),
         ..JobMetrics::default()
     };
-    let mut counters = PhaseCounters::default();
 
     // ---- Map phase -------------------------------------------------------
     let map_start = Instant::now();
@@ -559,12 +209,10 @@ where
     }
 
     // Each map task produces per-partition buckets of
-    // (key, (chunk, seq), value); payloads are cloned from the shared
-    // chunk table per attempt, so re-execution is idempotent.
+    // (key, (chunk, seq), value).
     type Tagged<K, V> = (K, (u32, u32), V);
-    let map_work = |task: usize| -> Vec<Vec<Tagged<M::Key, M::Value>>> {
+    let map_outputs = run_phase(chunks, num_workers, |task, records: Vec<M::In>| {
         let chunk_idx = u32::try_from(task).expect("chunk count fits u32");
-        let records: Vec<M::In> = chunks[task].clone();
         let mut local: Vec<Vec<Tagged<M::Key, M::Value>>> =
             (0..num_partitions).map(|_| Vec::new()).collect();
         let mut seq = 0u32;
@@ -576,43 +224,22 @@ where
             });
         }
         local
-    };
-    let map_outputs = run_phase(
-        FaultSite::MapTask,
-        "map",
-        chunks.len(),
-        num_workers,
-        &policy,
-        &mut counters,
-        &map_work,
-    );
-    let map_outputs = match map_outputs {
-        Ok(outputs) => outputs,
-        Err(error) => {
-            metrics.map_duration = map_start.elapsed();
-            counters.fold_into(&mut metrics);
-            return Err(JobFailure { error, metrics });
-        }
-    };
+    });
 
     // Deterministic shuffle: merge per-chunk buckets in chunk order.
     let mut shuffle: Vec<Vec<Tagged<M::Key, M::Value>>> =
         (0..num_partitions).map(|_| Vec::new()).collect();
-    let mut map_output_pairs = 0usize;
     for chunk_buckets in map_outputs {
         for (p, mut bucket) in chunk_buckets.into_iter().enumerate() {
-            map_output_pairs += bucket.len();
+            metrics.map_output_pairs += bucket.len();
             shuffle[p].append(&mut bucket);
         }
     }
-    metrics.map_output_pairs = map_output_pairs;
     metrics.map_duration = map_start.elapsed();
-    drop(chunks);
 
     // ---- Sort + reduce phase ----------------------------------------------
     let reduce_start = Instant::now();
-    let reduce_work = |task: usize| -> (usize, Vec<R::Out>) {
-        let mut bucket = shuffle[task].clone();
+    let reduce_outputs = run_phase(shuffle, num_workers, |_, mut bucket| {
         // Sort by key, then by (chunk, seq) for deterministic value
         // order inside each group.
         bucket.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -628,46 +255,16 @@ where
             reducer.reduce(key, values, &mut |o| out.push(o));
         }
         (groups, out)
-    };
-    let reduce_outputs = run_phase(
-        FaultSite::ReduceTask,
-        "reduce",
-        num_partitions,
-        num_workers,
-        &policy,
-        &mut counters,
-        &reduce_work,
-    );
-    let reduce_outputs = match reduce_outputs {
-        Ok(outputs) => outputs,
-        Err(error) => {
-            metrics.reduce_duration = reduce_start.elapsed();
-            counters.fold_into(&mut metrics);
-            return Err(JobFailure { error, metrics });
-        }
-    };
+    });
 
-    let mut reduce_groups = 0usize;
     let mut output: Vec<R::Out> = Vec::new();
     for (groups, mut part) in reduce_outputs {
-        reduce_groups += groups;
+        metrics.reduce_groups += groups;
         output.append(&mut part);
     }
-    metrics.reduce_groups = reduce_groups;
     metrics.reduce_output_records = output.len();
     metrics.reduce_duration = reduce_start.elapsed();
-    counters.fold_into(&mut metrics);
-    Ok(JobResult { output, metrics })
-}
-
-impl PhaseCounters {
-    fn fold_into(self, metrics: &mut JobMetrics) {
-        metrics.attempts = self.attempts;
-        metrics.retries = self.retries;
-        metrics.panics_caught = self.panics_caught;
-        metrics.speculative = self.speculative;
-        metrics.duplicate_results_ignored = self.duplicate_results_ignored;
-    }
+    JobResult { output, metrics }
 }
 
 #[cfg(test)]
@@ -797,13 +394,6 @@ mod tests {
         assert_eq!(result.metrics.map_output_pairs, 4);
         assert_eq!(result.metrics.reduce_groups, 3);
         assert_eq!(result.metrics.reduce_output_records, 3);
-        // Fault-free run: one attempt per map chunk + reduce partition,
-        // nothing retried or duplicated.
-        assert!(result.metrics.attempts >= 2);
-        assert_eq!(result.metrics.retries, 0);
-        assert_eq!(result.metrics.panics_caught, 0);
-        assert_eq!(result.metrics.speculative, 0);
-        assert_eq!(result.metrics.duplicate_results_ignored, 0);
     }
 
     #[test]
@@ -835,8 +425,7 @@ mod tests {
         assert_eq!(c.num_partitions, 6);
     }
 
-    /// A mapper whose panics are *user* bugs (not injected): it panics on
-    /// every record carrying the poison marker, on every attempt.
+    /// A mapper that panics on the poison record.
     struct PoisonMap;
     impl Mapper for PoisonMap {
         type In = u32;
@@ -848,34 +437,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn deterministic_user_panic_fails_typed_after_retries() {
-        let input: Vec<u32> = (0..40).collect(); // includes the poison 13
-        let failure = try_run_job(
-            &PoisonMap,
-            &WcReduceU32,
-            input,
-            JobConfig::with_workers(2),
-            RetryPolicy {
-                max_attempts: 3,
-                backoff_base: Duration::from_millis(1),
-                ..RetryPolicy::default()
-            },
-        )
-        .expect_err("poison record must fail the job");
-        match &failure.error {
-            FairrecError::TaskFailed { task, attempts } => {
-                assert!(task.starts_with("map["), "unexpected task label {task}");
-                assert_eq!(*attempts, 3);
-            }
-            other => panic!("expected TaskFailed, got {other:?}"),
-        }
-        assert_eq!(failure.metrics.panics_caught as u32, 3);
-        assert_eq!(failure.metrics.retries, 2);
-    }
-
-    struct WcReduceU32;
-    impl Reducer for WcReduceU32 {
+    struct SumReduce;
+    impl Reducer for SumReduce {
         type Key = u32;
         type Value = u32;
         type Out = (u32, u32);
@@ -885,20 +448,9 @@ mod tests {
     }
 
     #[test]
-    fn no_retry_policy_fails_on_first_panic() {
-        let input: Vec<u32> = vec![13];
-        let failure = try_run_job(
-            &PoisonMap,
-            &WcReduceU32,
-            input,
-            JobConfig::default(),
-            RetryPolicy::no_retries(),
-        )
-        .expect_err("poison record must fail the job");
-        match &failure.error {
-            FairrecError::TaskFailed { attempts, .. } => assert_eq!(*attempts, 1),
-            other => panic!("expected TaskFailed, got {other:?}"),
-        }
-        assert_eq!(failure.metrics.retries, 0);
+    #[should_panic(expected = "poison record")]
+    fn mapper_panic_propagates_out_of_run_job() {
+        let input: Vec<u32> = (0..40).collect(); // includes the poison 13
+        let _ = run_job(&PoisonMap, &SumReduce, input, JobConfig::with_workers(2));
     }
 }

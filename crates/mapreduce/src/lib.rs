@@ -15,7 +15,9 @@
 //! sort by key → reduce` — so the decomposition itself is exercised
 //! faithfully (the substitution is recorded in `DESIGN.md`). The engine is
 //! deterministic: identical inputs produce identical outputs regardless of
-//! worker count or thread scheduling.
+//! worker count or thread scheduling. It has no retry layer: a task is a
+//! pure function of its input, so a panicking mapper or reducer would
+//! panic again, and the panic propagates out of [`run_job`].
 //!
 //! Because the paper's Pearson similarity needs per-user rating means
 //! before any pair can be scored, the pipeline adds a **Job 0** (user
@@ -29,16 +31,9 @@
 #![warn(rust_2018_idioms)]
 
 mod engine;
-pub mod fault;
 pub mod jobs;
 pub mod pipeline;
 pub mod topk;
-pub mod warm;
 
-pub use engine::{
-    run_job, try_run_job, JobConfig, JobFailure, JobMetrics, JobResult, Mapper, Reducer,
-    RetryPolicy,
-};
-pub use fault::{FaultGuard, FaultKind, FaultPlan, FaultRule, FaultSite};
+pub use engine::{run_job, JobConfig, JobMetrics, JobResult, Mapper, Reducer};
 pub use pipeline::{mapreduce_group_predictions, MapReducePipelineReport, PipelineConfig};
-pub use warm::{distributed_warm, distributed_warm_with, warm_schedule, WarmReport, WarmTask};

@@ -58,7 +58,7 @@ pub use peers::{PeerSelector, Peers};
 pub use profile::ProfileSimilarity;
 pub use ratings::RatingsSimilarity;
 pub use semantic::SemanticSimilarity;
-pub use sharded::{shard_pair_edges, ShardedPeerIndex, ShardedRatingsSimilarity};
+pub use sharded::{ShardedPeerIndex, ShardedRatingsSimilarity};
 
 use fairrec_types::UserId;
 

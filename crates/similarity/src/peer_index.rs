@@ -150,8 +150,9 @@ pub enum DeltaOutcome {
         /// would need beyond-boundary entries — cleared for lazy refill.
         touched: usize,
     },
-    /// Every slot was cold — nothing to splice. The generation was still
-    /// bumped, so in-flight fills against pre-change data cannot land.
+    /// Every slot was cold — nothing to splice. The generation and every
+    /// slot's version were still bumped, so in-flight fills against
+    /// pre-change data cannot land.
     ColdIndex,
     /// The user lies outside this index's universe. Similarities between
     /// in-universe users never read an out-of-universe user's data, so no
@@ -1013,6 +1014,11 @@ pub(crate) fn splice_delta<S: BulkUserSimilarity + ?Sized>(
     // stale data and must not be stored.
     let tokens: Vec<u64> = shards.iter().map(PeerIndex::bump_generation).collect();
     if shards.iter().all(|shard| shard.num_cached() == 0) {
+        // The token alone does not stop a lazy fill: its CAS checks only
+        // the slot version, so bump every slot's version too.
+        for shard in shards {
+            shard.clear_all_slots();
+        }
         return DeltaOutcome::ColdIndex;
     }
     let selector = shards[owning].selector;

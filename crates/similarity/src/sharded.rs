@@ -39,13 +39,7 @@
 //! warm into `S·(S+1)/2` shard pairs: pair `(a, a)` runs the above-only
 //! kernel (each same-shard pair once), pair `(a, b)` with `a < b` runs
 //! the full shard-scoped kernel from `a`'s sources into `b`'s
-//! candidates (each cross-shard pair once). One pair's work is
-//! [`shard_pair_edges`] — a free function over
-//! `(matrix, a, b, universe, overlap, δ)` precisely so the schedule can
-//! be serialized into self-contained task descriptors and executed
-//! remotely (the MapReduce pipeline's distributed warm rehearses this);
-//! [`ShardedPeerIndex::adopt_full_lists`] is the matching install path
-//! for lists assembled elsewhere. In process, each pair's sources are
+//! candidates (each cross-shard pair once). Each pair's sources are
 //! further split into warm-sized chunks, so the single pair of `S = 1`
 //! still spreads across the worker pool. Qualifying edges are scattered
 //! straight into both endpoints' per-user lists and canonicalised once —
@@ -268,41 +262,13 @@ impl BulkUserSimilarity for ShardScopedRatings<'_> {
     }
 }
 
-/// One shard pair's slice of the symmetric warm: every qualifying
-/// Definition-1 edge `(u, v, simU)` with `u` owned by shard `a` and `v`
-/// owned by shard `b`, each unordered pair exactly once (the diagonal
-/// pair runs the above-only kernel; `a ≠ b` must be called with the
-/// pair once, not both orders). Edges are δ-filtered here because
-/// Definition-1 admission is per-pair.
-///
-/// This free function is the **unit of distribution**: it depends only
-/// on values a task descriptor can carry (`a`, `b`, the universe bound,
-/// `min_overlap`, `δ`) plus the partitioned matrix each worker holds, so
-/// the in-repo MapReduce engine can execute the same schedule off-process
-/// and [`ShardedPeerIndex::adopt_full_lists`] can install the result —
-/// bitwise identical to the in-process warm.
-pub fn shard_pair_edges(
-    matrix: &ShardedRatingMatrix,
-    a: usize,
-    b: usize,
-    num_users: u32,
-    min_overlap: usize,
-    delta: f64,
-) -> Vec<(UserId, UserId, f64)> {
-    shard_pair_edges_from(
-        matrix,
-        (a, b),
-        matrix.users_of_shard(a),
-        num_users,
-        min_overlap,
-        delta,
-    )
-}
-
-/// [`shard_pair_edges`] restricted to `sources`, an ascending run of
-/// shard `a`'s owned users — how the in-process warm splits one shard
-/// pair across workers (at `S = 1` the single pair is the whole
-/// triangle).
+/// One chunk of a shard pair's slice of the symmetric warm: every
+/// qualifying Definition-1 edge `(u, v, simU)` with `u` in `sources` (an
+/// ascending run of shard `a`'s owned users) and `v` owned by shard `b`,
+/// each unordered pair exactly once (the diagonal pair runs the
+/// above-only kernel; `a ≠ b` must be called with the pair once, not
+/// both orders). Edges are δ-filtered here because Definition-1
+/// admission is per-pair.
 fn shard_pair_edges_from(
     matrix: &ShardedRatingMatrix,
     (a, b): (usize, usize),
@@ -570,8 +536,8 @@ impl ShardedPeerIndex {
             .sum()
     }
 
-    /// Symmetric bulk warm decomposed into per-shard-pair
-    /// [`shard_pair_edges`] tasks on the worker pool; see the module docs
+    /// Symmetric bulk warm decomposed into per-shard-pair edge tasks on
+    /// the worker pool; see the module docs
     /// for the schedule. Only runs the triangle on a fully cold index
     /// (falls back to [`warm`](Self::warm) otherwise); the per-shard
     /// installs happen under each shard's recorded generation token, so a
@@ -629,27 +595,6 @@ impl ShardedPeerIndex {
             list
         });
         self.install_lists(lists, &generations)
-    }
-
-    /// Installs externally computed **finished** full lists — indexed by
-    /// global user id over the whole universe, canonical, δ-filtered,
-    /// self-edge-free — into the owning shards' slots: the adoption path
-    /// for warms executed off-process (the MapReduce distributed warm
-    /// assembles exactly this shape from reduced edges). Same
-    /// preconditions as the triangle itself: the index must be fully
-    /// cold and `lists` must cover the universe; returns `None` without
-    /// touching anything otherwise. `Some(count)` is the number of lists
-    /// installed (shards whose generation moved concurrently are
-    /// skipped, exactly like the in-process warm).
-    pub fn adopt_full_lists(&self, lists: Vec<Peers>) -> Option<usize> {
-        if lists.len() != self.num_users as usize {
-            return None;
-        }
-        if self.shards.iter().any(|shard| shard.num_cached() != 0) {
-            return None;
-        }
-        let generations = self.generations();
-        Some(self.install_lists(lists, &generations))
     }
 
     /// Publishes finished global-id-indexed lists into the per-shard
@@ -903,50 +848,6 @@ mod tests {
             total += local;
         }
         assert_eq!(total, m.num_users(), "slots partition the universe");
-    }
-
-    #[test]
-    fn adopted_lists_serve_like_the_in_process_warm() {
-        let m = fixture();
-        let sel = PeerSelector::new(0.0).unwrap();
-        for s in [1u32, 2, 3, 8] {
-            let part = sharded(&m, s);
-            let measure = ShardedRatingsSimilarity::new(&part);
-            let warmed = ShardedPeerIndex::new(sel, part.spec(), m.num_users());
-            warmed.warm_symmetric(&measure, Parallelism::Sequential);
-
-            // Rebuild the finished lists from the distributable unit —
-            // the per-pair edge tasks — and adopt them cold.
-            let mut lists: Vec<Peers> = vec![Peers::new(); m.num_users() as usize];
-            for a in 0..s as usize {
-                for b in a..s as usize {
-                    for (u, v, sim) in shard_pair_edges(&part, a, b, m.num_users(), 2, sel.delta) {
-                        lists[u.index()].push((v, sim));
-                        lists[v.index()].push((u, sim));
-                    }
-                }
-            }
-            for list in &mut lists {
-                PeerSelector::canonicalize(list);
-            }
-            let adopted = ShardedPeerIndex::new(sel, part.spec(), m.num_users());
-            assert_eq!(
-                adopted.adopt_full_lists(lists.clone()),
-                Some(m.num_users() as usize)
-            );
-            for u in m.user_ids() {
-                assert_eq!(
-                    adopted.cached_full(u),
-                    warmed.cached_full(u),
-                    "S={s}, user {u}"
-                );
-            }
-            // A non-cold index refuses adoption.
-            assert_eq!(adopted.adopt_full_lists(lists), None);
-            // So does a universe-size mismatch.
-            let fresh = ShardedPeerIndex::new(sel, part.spec(), m.num_users());
-            assert_eq!(fresh.adopt_full_lists(Vec::new()), None);
-        }
     }
 
     #[test]

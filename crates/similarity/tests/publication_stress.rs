@@ -34,8 +34,9 @@
 //! the stale-fill rule also has **forced interleavings**: a measure
 //! wrapper parks a lazy fill inside its kernel pass (after the
 //! observation, before the CAS) while the test changes the data and
-//! runs an `invalidate_all` or a co-rater's `apply_delta`; once
-//! released, the fill's stale list must not be published.
+//! runs an `invalidate_all` or a co-rater's `apply_delta` (on a warm
+//! and on a fully cold index); once released, the fill's stale list
+//! must not be published.
 
 use fairrec_similarity::{
     BulkUserSimilarity, DeltaOutcome, PeerIndex, PeerSelector, Peers, RatingsSimilarity,
@@ -503,6 +504,9 @@ enum Interleaved {
     InvalidateAll,
     /// The exact delta of an editor who co-rates the parked user.
     CoRaterDelta,
+    /// The same editor's delta on a fully cold index (no pre-warm): the
+    /// delta has nothing to splice and answers `ColdIndex`.
+    ColdDelta,
 }
 
 /// The first chain edit and a user whose list it changes: the editor
@@ -575,6 +579,10 @@ impl Interleaving {
                     "the delta must splice, got {outcome:?}"
                 );
             }
+            Interleaved::ColdDelta => {
+                let outcome = index.apply_delta(parked.as_ref(), self.editor);
+                assert_eq!(outcome, DeltaOutcome::ColdIndex);
+            }
         }
         release_tx.send(()).unwrap();
         filler.join().unwrap();
@@ -596,7 +604,11 @@ impl Interleaving {
 fn parked_fills_lose_to_concurrent_maintenance() {
     let interleaving = Interleaving::new();
     let selector = PeerSelector::new(0.0).unwrap();
-    for step in [Interleaved::InvalidateAll, Interleaved::CoRaterDelta] {
+    for step in [
+        Interleaved::InvalidateAll,
+        Interleaved::CoRaterDelta,
+        Interleaved::ColdDelta,
+    ] {
         let one = ShardSpec::new(1).unwrap();
         interleaving.run(PeerIndex::new(selector, NUM_USERS), one, step);
         for num_shards in [1, 4] {

@@ -82,15 +82,6 @@ pub enum FairrecError {
     /// The server is shutting down (or a computation was abandoned by a
     /// dying server) and no longer accepts work.
     ServerShutdown,
-    /// A distributed task failed every permitted attempt (worker panic,
-    /// lost result) and the retry budget is exhausted.
-    TaskFailed {
-        /// A human-readable task identifier (e.g. `"map[3]"` or a
-        /// `WarmTask` descriptor label).
-        task: String,
-        /// How many attempts were made before giving up.
-        attempts: u32,
-    },
     /// An internal invariant was violated — e.g. a lock poisoned by a
     /// panic on another thread. Surfaced as a typed error so waiters
     /// degrade instead of amplifying the panic.
@@ -160,9 +151,6 @@ impl fmt::Display for FairrecError {
             }
             Self::DeadlineExpired => write!(f, "request deadline expired before completion"),
             Self::ServerShutdown => write!(f, "server is shut down and accepts no new requests"),
-            Self::TaskFailed { task, attempts } => {
-                write!(f, "task {task} failed after {attempts} attempt(s)")
-            }
             Self::Internal { message } => write!(f, "internal invariant violated: {message}"),
         }
     }
@@ -227,13 +215,6 @@ mod tests {
             ),
             (FairrecError::DeadlineExpired, "deadline expired"),
             (FairrecError::ServerShutdown, "shut down"),
-            (
-                FairrecError::TaskFailed {
-                    task: "map[3]".into(),
-                    attempts: 4,
-                },
-                "task map[3] failed after 4 attempt(s)",
-            ),
             (
                 FairrecError::Internal {
                     message: "slot lock poisoned".into(),

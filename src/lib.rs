@@ -77,7 +77,9 @@
 //!   (`PeerIndex::from_edges`), so Definition 1 semantics — canonical
 //!   ordering, group masking, peer caps — live in exactly one place, and
 //!   its predictions reach the engine's one selection path through
-//!   `RecommenderEngine::recommend_from_predictions`.
+//!   `RecommenderEngine::recommend_from_predictions`. The serving
+//!   engine does not link `fairrec-mapreduce`; this facade re-exports
+//!   both.
 //! * **Cold fills take the bulk kernel.** Peer-list computation routes
 //!   through [`BulkUserSimilarity`](similarity::BulkUserSimilarity), the
 //!   one-vs-all form of `simU`: `RatingsSimilarity` generates candidates

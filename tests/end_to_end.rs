@@ -189,12 +189,22 @@ fn mapreduce_predictions_for_an_unknown_member_are_rejected() {
         &PipelineConfig::default(),
     )
     .unwrap();
-    for err in [
+    let mut errors = vec![
         engine
             .recommend_from_predictions(&group, &predictions, 4)
             .unwrap_err(),
         engine.recommend_for_group(&group, 4).unwrap_err(),
-    ] {
+        engine
+            .recommend_batch(std::slice::from_ref(&group), 4)
+            .unwrap_err(),
+    ];
+    let outcomes = engine.recommend_requests(&[(group.clone(), 4)]);
+    assert_eq!(outcomes.len(), 1);
+    errors.push(outcomes[0].clone().unwrap_err());
+    let server = Server::new(std::sync::Arc::new(engine), ServerConfig::default());
+    errors.push(server.recommend(group, 4, Deadline::none()).unwrap_err());
+    server.shutdown();
+    for err in errors {
         assert!(
             matches!(err, FairrecError::UnknownUser { user } if user == unknown),
             "got: {err:?}"

@@ -78,10 +78,19 @@ fn files_are_human_readable() {
     assert!(text.contains("10509002"));
 }
 
-/// A file of up to six generated lines, each shaped like a ratings,
-/// profiles or documents row (so the readers get past their field-count
-/// checks) or free-form: ids below 10⁴ (`I`, `J`), the reserved
-/// sentinel `4294967295`, and tokens valid in some column or in none.
+/// An ontology row, `id \t (-|parent) \t code \t label`. `@` is the
+/// line's position (the id the contiguity rule expects when no line was
+/// skipped), `%` one past it and `<` the previous line (`-` on the
+/// first): ids meet or break the rule, `-` on a later line is a second
+/// root, and a parent of `@` or `%` is not below its id.
+const ONTOLOGY_LINE: &str = "(@|@|@|@|@|@|%|0|4294967295)\t(<|<|<|<|<|-|0|@|%|4294967295|x)\
+                             \t(c@|c@|10509002|)\t(l@|l@\tx|Acute bronchitis)";
+
+/// A file of up to six generated lines: either all ontology rows, or
+/// each shaped like a ratings, profiles or documents row (so the
+/// readers get past their field-count checks) or free-form: ids
+/// below 10⁴ (`I`, `J`), the reserved sentinel `4294967295`, and tokens
+/// valid in some column or in none.
 fn file_strategy() -> impl Strategy<Value = String> {
     let line = (
         "(I|4294967295|x)\t(J|4294967295)\t(1|2.5|5|0|9.5|NaN)\
@@ -95,7 +104,22 @@ fn file_strategy() -> impl Strategy<Value = String> {
             line.replace('I', &i.to_string())
                 .replace('J', &j.to_string())
         });
-    proptest::collection::vec(line, 0..7).prop_map(|lines| lines.join("\n"))
+    let mixed = proptest::collection::vec(line, 0..7);
+    let ontology = proptest::collection::vec(ONTOLOGY_LINE, 0..7);
+    (mixed, ontology, 0u8..2).prop_map(|(mixed, ontology, pick)| {
+        let lines = if pick == 0 { mixed } else { ontology };
+        lines
+            .iter()
+            .enumerate()
+            .map(|(k, line)| {
+                let previous = k.checked_sub(1).map_or("-".into(), |p| p.to_string());
+                line.replace('@', &k.to_string())
+                    .replace('%', &(k + 1).to_string())
+                    .replace('<', &previous)
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    })
 }
 
 proptest! {
@@ -103,7 +127,8 @@ proptest! {
 
     /// Every reader answers arbitrary lines with `Ok` or a typed `Err`
     /// and never panics or aborts; the reserved id `4294967295` is an
-    /// error wherever it names a user.
+    /// error wherever it names a user, and every ontology read
+    /// re-encodes and decodes to equal concepts.
     #[test]
     fn tsv_readers_never_panic_on_generated_input(text in file_strategy()) {
         let ontology = fairrec::ontology::snomed::clinical_fragment();
@@ -120,6 +145,18 @@ proptest! {
         }
         if let Ok(docs) = documents {
             prop_assert!(docs.len() <= 6);
+        }
+        if let Ok(read) = codec::read_ontology(BufReader::new(text.as_bytes())) {
+            let mut encoded = Vec::new();
+            prop_assert!(codec::write_ontology(&read, &mut encoded).is_ok());
+            let decoded = codec::read_ontology(BufReader::new(encoded.as_slice()));
+            prop_assert!(decoded.is_ok(), "{:?}", decoded.err());
+            let decoded = decoded.unwrap();
+            prop_assert_eq!(read.len(), decoded.len());
+            for (a, b) in read.iter().zip(decoded.iter()) {
+                prop_assert_eq!(a, b);
+                prop_assert_eq!(read.parent(a.id), decoded.parent(b.id));
+            }
         }
     }
 }
