@@ -1,9 +1,12 @@
 //! Shared fixtures and harness utilities for the benchmark suite.
 //!
 //! Every table and figure of the paper's evaluation — plus the ablations
-//! listed in `DESIGN.md` — is regenerated by a binary in `src/bin/` (full
-//! grids, wall-clock measurements, paper-style output) and, where
-//! microbenchmarks make sense, a Criterion bench in `benches/`.
+//! A1–A5 of the table below, which are this repo's additions, not the
+//! paper's — is regenerated by a binary in `src/bin/` (full grids,
+//! wall-clock measurements, paper-style output) and, where
+//! microbenchmarks make sense, a Criterion bench in `benches/`. The
+//! inputs are the synthetic cohorts of `fairrec-data`, which stand in
+//! for the paper's private iManageCancer data.
 //!
 //! | artefact | binary | bench |
 //! |---|---|---|

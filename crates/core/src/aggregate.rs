@@ -50,7 +50,49 @@ pub enum MissingPolicy {
     Pessimistic,
 }
 
+impl MissingPolicy {
+    /// What one member's score contributes to Definition 2: the score
+    /// itself, [`RATING_MIN`] for a missing one under `Pessimistic`, and
+    /// nothing for a missing one under `Skip`.
+    #[inline]
+    fn contribution(self, score: Option<Relevance>) -> Option<Relevance> {
+        match (score, self) {
+            (Some(s), _) => Some(s),
+            (None, Self::Pessimistic) => Some(RATING_MIN),
+            (None, Self::Skip) => None,
+        }
+    }
+}
+
 impl Aggregation {
+    /// The accumulator before any member contributes.
+    fn identity(self) -> f64 {
+        match self {
+            Self::Min => f64::INFINITY,
+            Self::Average => 0.0,
+        }
+    }
+
+    /// Folds one contributed value into the accumulator.
+    #[inline]
+    fn step(self, acc: f64, value: f64) -> f64 {
+        match self {
+            Self::Min => acc.min(value),
+            Self::Average => acc + value,
+        }
+    }
+
+    /// The group score from an accumulator over `count` contributions.
+    fn finish(self, acc: f64, count: u32) -> Option<Relevance> {
+        if count == 0 {
+            return None;
+        }
+        Some(match self {
+            Self::Min => acc,
+            Self::Average => acc / f64::from(count),
+        })
+    }
+
     /// Aggregates per-member scores into `relevanceG(G, i)`.
     ///
     /// Returns `None` when, after applying `policy`, no member contributes
@@ -61,30 +103,66 @@ impl Aggregation {
         member_scores: &[Option<Relevance>],
         policy: MissingPolicy,
     ) -> Option<Relevance> {
-        let mut count = 0usize;
-        let mut acc = match self {
-            Self::Min => f64::INFINITY,
-            Self::Average => 0.0,
-        };
+        let (mut acc, mut count) = (self.identity(), 0);
         for &score in member_scores {
-            let value = match (score, policy) {
-                (Some(s), _) => s,
-                (None, MissingPolicy::Pessimistic) => RATING_MIN,
-                (None, MissingPolicy::Skip) => continue,
-            };
-            count += 1;
-            match self {
-                Self::Min => acc = acc.min(value),
-                Self::Average => acc += value,
+            if let Some(value) = policy.contribution(score) {
+                acc = self.step(acc, value);
+                count += 1;
             }
         }
-        if count == 0 {
-            return None;
+        self.finish(acc, count)
+    }
+}
+
+/// Definition 2 over many items at once, folded one member at a time:
+/// one accumulator and one contribution count per item. Members added in
+/// member order give each item exactly the additions (or `min`s) of
+/// [`Aggregation::aggregate`] over that item's column, in the same
+/// order, through the same identity, step and finish, so the bits are
+/// the same.
+#[derive(Debug)]
+pub(crate) struct GroupFold {
+    aggregation: Aggregation,
+    policy: MissingPolicy,
+    acc: Vec<f64>,
+    count: Vec<u32>,
+}
+
+impl GroupFold {
+    /// An empty fold over `len` items.
+    pub(crate) fn new(aggregation: Aggregation, policy: MissingPolicy, len: usize) -> Self {
+        Self {
+            aggregation,
+            policy,
+            acc: vec![aggregation.identity(); len],
+            count: vec![0; len],
         }
-        Some(match self {
-            Self::Min => acc,
-            Self::Average => acc / count as f64,
-        })
+    }
+
+    /// Adds the next member's score for item `j`.
+    #[inline]
+    pub(crate) fn add(&mut self, j: usize, score: Option<Relevance>) {
+        if let Some(value) = self.policy.contribution(score) {
+            self.acc[j] = self.aggregation.step(self.acc[j], value);
+            self.count[j] += 1;
+        }
+    }
+
+    /// Adds the next member's whole row.
+    pub(crate) fn add_row(&mut self, row: &[Option<Relevance>]) {
+        for (j, &score) in row.iter().enumerate() {
+            self.add(j, score);
+        }
+    }
+
+    /// `relevanceG(G, i)` per item.
+    pub(crate) fn finish(self) -> Vec<Option<Relevance>> {
+        let aggregation = self.aggregation;
+        self.acc
+            .into_iter()
+            .zip(self.count)
+            .map(|(acc, count)| aggregation.finish(acc, count))
+            .collect()
     }
 }
 

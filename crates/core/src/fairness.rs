@@ -8,8 +8,9 @@
 //!
 //! [`FairnessEvaluator`] precomputes, for every pool item, the bitmask of
 //! members whose top-k list contains it. The lists come from the pool's
-//! `A_u` memo ([`CandidatePool::top_k_lists`]): computed once per pool,
-//! memoised per `k`, and shared with Algorithm 1, so the evaluator itself
+//! `A_u` memo ([`CandidatePool::top_k_lists`]): built by the group pass
+//! or computed once per pool, memoised per `k`, and shared with
+//! Algorithm 1, so the evaluator itself
 //! only walks `Σ|A_u|` list entries. Evaluating a package is then an OR
 //! over `|D|` masks plus a popcount — the O(1)-per-item inner loop the
 //! brute force needs to enumerate hundreds of millions of combinations

@@ -22,9 +22,10 @@
 //! deterministic.
 //!
 //! The lists `A_u` are not rebuilt here: [`algorithm1`] reads the pool's
-//! memo ([`CandidatePool::top_k_lists`]), computed once per pool for the
-//! first `k` asked for, so the evaluator built for the same request and
-//! the greedy share one selection pass per member.
+//! memo ([`CandidatePool::top_k_lists`]) — built by the group pass, or
+//! computed once per pool for the first `k` asked for — so the evaluator
+//! built for the same request and the greedy share one selection pass
+//! per member.
 
 use crate::pool::{top_k_of, CandidatePool};
 use fairrec_types::ItemId;

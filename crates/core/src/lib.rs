@@ -5,9 +5,10 @@
 //! 1. **Single-user relevance** ([`relevance`]) — Equation 1 predicts
 //!    `relevance(u, i)` as the simU-weighted mean of peer ratings.
 //! 2. **Group candidates & predictions** ([`predictions`]) — for a
-//!    caregiver group `G`, score every item no member has rated, per
-//!    member and aggregated (Definition 2, [`aggregate`]): `min` (veto
-//!    semantics) or `average` (majority semantics).
+//!    caregiver group `G`, score every item no member has rated and some
+//!    member's peers can score, per member and aggregated (Definition 2,
+//!    [`aggregate`]): `min` (veto semantics) or `average` (majority
+//!    semantics), in one pass per member that also builds `A_u`.
 //! 3. **Candidate pool** ([`pool`]) — the `m` best group-scored candidates
 //!    with dense per-member scores, the input of the selection algorithms.
 //! 4. **Fairness & value** ([`fairness`]) — Definition 3:

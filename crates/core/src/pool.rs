@@ -9,11 +9,17 @@
 //! shortlists before package selection.
 //!
 //! The pool also owns the per-member top-k lists `A_u` that Definition 3
-//! and Algorithm 1 both read. They are computed **once per pool**, by one
-//! bounded selection pass per member, and memoised for the `k` first asked
-//! for ([`CandidatePool::top_k_lists`]). The evaluator, Algorithm 1, the
-//! swap refinement, the brute force and the engine's per-member
-//! `personal_best` (the head of its list) all read that one result.
+//! and Algorithm 1 both read, memoised for one `k`
+//! ([`CandidatePool::top_k_lists`]). A pool that keeps every predicted
+//! item takes the memo from the group pass, which built each list inside
+//! the member's Equation 1 readout when asked for a `k` (the engine asks
+//! for its configured `k`), and shares the predictions' member rows
+//! instead of copying them. A truncated pool, or one from predictions
+//! without lists, computes them on first use: one bounded selection pass
+//! per member, memoised for the `k` first asked for. The evaluator,
+//! Algorithm 1, the swap refinement, the brute force and the engine's
+//! per-member `personal_best` (the head of its list) all read that one
+//! result.
 //!
 //! Every ranking here — `A_u`, the pool truncation and
 //! [`plain_top_z`](crate::greedy::plain_top_z) — shares one selection
@@ -26,36 +32,70 @@ use crate::predictions::GroupPredictions;
 use fairrec_types::{FairrecError, ItemId, Relevance, Result, UserId};
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Positions of the `k` best scores, best first; equal scores go to the
-/// smaller position, and `None` and non-finite scores are skipped.
+/// The bounded selection kernel: fed `(score, position)` in ascending
+/// position, it keeps the positions of the `k` best scores, best first;
+/// equal scores go to the smaller position, and non-finite scores are
+/// skipped.
 ///
-/// The scan keeps at most `k` `(score, position)` pairs best-first: once
-/// full, a score enters only if it is strictly greater than the current
-/// worst, so a later position never wins a tie. A rejected score costs one
+/// It holds at most `k` `(score, position)` pairs best-first: once full,
+/// a score enters only if it is strictly greater than the current worst,
+/// so a later position never wins a tie. A rejected score costs one
 /// comparison and an admitted one an `O(k)` shift. Once the list is full
 /// few scores in no particular order are admitted, so for a `k` well below
 /// the number of scores the pass is close to one comparison per position;
 /// scores in ascending order are the worst case, `O(m·k)`.
-pub(crate) fn top_k_of<S: Copy + Into<Option<Relevance>>>(scores: &[S], k: usize) -> Vec<usize> {
-    let mut best: Vec<(Relevance, usize)> = Vec::with_capacity(k);
-    for (j, &score) in scores.iter().enumerate() {
-        let Some(s) = score.into().filter(|s| s.is_finite()) else {
-            continue;
-        };
-        if best.len() == k {
-            match best.last() {
-                Some(&(worst, _)) if s > worst => {
-                    best.pop();
+#[derive(Debug)]
+pub(crate) struct TopPositions {
+    k: usize,
+    best: Vec<(Relevance, usize)>,
+}
+
+impl TopPositions {
+    /// An empty selection of at most `k` positions.
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            k,
+            best: Vec::with_capacity(k),
+        }
+    }
+
+    /// Offers `score` at `position`, which must exceed every position
+    /// offered before.
+    #[inline]
+    pub(crate) fn push(&mut self, score: Relevance, position: usize) {
+        if !score.is_finite() {
+            return;
+        }
+        if self.best.len() == self.k {
+            match self.best.last() {
+                Some(&(worst, _)) if score > worst => {
+                    self.best.pop();
                 }
-                _ => continue,
+                _ => return,
             }
         }
-        let at = best.partition_point(|&(b, _)| b >= s);
-        best.insert(at, (s, j));
+        let at = self.best.partition_point(|&(b, _)| b >= score);
+        self.best.insert(at, (score, position));
     }
-    best.into_iter().map(|(_, j)| j).collect()
+
+    /// The kept positions, best first.
+    pub(crate) fn into_positions(self) -> Vec<usize> {
+        self.best.into_iter().map(|(_, j)| j).collect()
+    }
+}
+
+/// Positions of the `k` best scores, best first, by the
+/// [`TopPositions`] kernel; `None` and non-finite scores are skipped.
+pub(crate) fn top_k_of<S: Copy + Into<Option<Relevance>>>(scores: &[S], k: usize) -> Vec<usize> {
+    let mut top = TopPositions::new(k);
+    for (j, &score) in scores.iter().enumerate() {
+        if let Some(s) = score.into() {
+            top.push(s, j);
+        }
+    }
+    top.into_positions()
 }
 
 /// Dense per-member and group scores over a shortlist of candidates.
@@ -65,7 +105,9 @@ pub struct CandidatePool {
     items: Vec<ItemId>,
     /// `member_scores[m][j]`; `None` where Equation 1 was undefined for
     /// that member (the item still has a group score via the others).
-    member_scores: Vec<Vec<Option<Relevance>>>,
+    /// Shared with the [`GroupPredictions`] the pool was built from when
+    /// it keeps every predicted item.
+    member_scores: Arc<[Vec<Option<Relevance>>]>,
     /// Dense: every pooled item has a group score.
     group_scores: Vec<Relevance>,
     /// `(k, A_u for every member)`, filled by the first
@@ -78,7 +120,7 @@ impl PartialEq for CandidatePool {
     fn eq(&self, other: &Self) -> bool {
         self.members == other.members
             && self.items == other.items
-            && self.member_scores == other.member_scores
+            && *self.member_scores == *other.member_scores
             && self.group_scores == other.group_scores
     }
 }
@@ -99,6 +141,12 @@ impl CandidatePool {
     /// relevance, optionally truncated to the top `max_items` by group
     /// relevance (ties by ascending item id).
     ///
+    /// When every predicted item is kept — the group pass predicts only
+    /// items with a defined group relevance, so that is any call without
+    /// a binding cap — the pool shares the predictions' member rows and
+    /// starts with their `A_u` memo, if the pass built one. Otherwise the
+    /// kept slots are copied and `A_u` is computed on first use.
+    ///
     /// # Errors
     /// [`FairrecError::InvalidParameter`] if `max_items == Some(0)` or the
     /// resulting pool would be empty.
@@ -112,25 +160,47 @@ impl CandidatePool {
                 "pool must keep at least one item",
             ));
         }
-        // Select surviving item positions.
-        let scored: Vec<usize> = (0..predictions.num_items())
-            .filter(|&j| predictions.group_relevance(j).is_some())
-            .collect();
-        let keep: Vec<usize> = match max_items {
-            Some(m) if m < scored.len() => {
-                let mut keep = top_k_of(predictions.group_scores(), m);
-                keep.sort_unstable(); // restore item-id order
-                keep
-            }
-            _ => scored,
-        };
-        if keep.is_empty() {
+        let scored = predictions
+            .group_scores()
+            .iter()
+            .filter(|s| s.is_some())
+            .count();
+        if scored == 0 {
             return Err(FairrecError::invalid_parameter(
                 "pool",
                 "no candidate has a defined group relevance",
             ));
         }
+        let capped = max_items.is_some_and(|m| m < scored);
+        if !capped && scored == predictions.num_items() {
+            return Ok(Self {
+                members: predictions.members().to_vec(),
+                items: predictions.items().to_vec(),
+                member_scores: Arc::clone(predictions.member_rows()),
+                group_scores: predictions
+                    .group_scores()
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .collect(),
+                top_lists: predictions
+                    .top_lists()
+                    .cloned()
+                    .map_or_else(OnceLock::new, OnceLock::from),
+            });
+        }
 
+        // Select surviving item positions.
+        let keep: Vec<usize> = match max_items {
+            Some(m) if capped => {
+                let mut keep = top_k_of(predictions.group_scores(), m);
+                keep.sort_unstable(); // restore item-id order
+                keep
+            }
+            _ => (0..predictions.num_items())
+                .filter(|&j| predictions.group_relevance(j).is_some())
+                .collect(),
+        };
         let items: Vec<ItemId> = keep.iter().map(|&j| predictions.items()[j]).collect();
         let member_scores: Vec<Vec<Option<Relevance>>> = (0..predictions.members().len())
             .map(|m| {
@@ -147,7 +217,7 @@ impl CandidatePool {
         Ok(Self {
             members: predictions.members().to_vec(),
             items,
-            member_scores,
+            member_scores: member_scores.into(),
             group_scores,
             top_lists: OnceLock::new(),
         })
@@ -172,7 +242,7 @@ impl CandidatePool {
         Self {
             members,
             items,
-            member_scores,
+            member_scores: member_scores.into(),
             group_scores,
             top_lists: OnceLock::new(),
         }

@@ -26,13 +26,17 @@
 //!   the item's column `U(i)`, which ascends by user id, and probe a
 //!   peer lookup. Cost `|U(i)|` per item.
 //! * **Peer-side** (many items:
-//!   [`predict_many_with`](RelevancePredictor::predict_many_with)): walk
-//!   the peers in ascending id and scatter each peer's row into dense
-//!   per-item accumulators. Filtering `U(i)` to the peers visits the same
-//!   peers in the same order as walking the peers by ascending id, and
-//!   each accumulator starts at `0.0` and *adds* its first term, so each
-//!   item sees exactly the rater-side's `0.0 + t₁ + t₂ + …`. Cost
-//!   `Σ_{p ∈ P_u} |I(p)|` per member, whatever the candidate count.
+//!   [`predict_many`](RelevancePredictor::predict_many) and the group
+//!   pass of [`predictions`](crate::predictions)): walk the peers in
+//!   ascending id and scatter each whole peer row into dense per-item
+//!   accumulators, read the candidates out once, then re-zero exactly the
+//!   slots the rows touched. Filtering `U(i)` to the peers visits the
+//!   same peers in the same order as walking the peers by ascending id,
+//!   and each accumulator starts at `0.0` and *adds* its first term, so
+//!   each item sees exactly the rater-side's `0.0 + t₁ + t₂ + …`. Cost
+//!   `2·Σ_{p ∈ P_u} |I(p)|` slot updates plus one read per candidate.
+//!   The pass is sequential per member; the group pass fans out over
+//!   members, never over one member's items.
 //!
 //! An earlier peer-side path disagreed with the rater-side in the last
 //! ulp because it walked the peers in *list* order (descending
@@ -41,16 +45,9 @@
 //! them against each other bit for bit.
 
 use fairrec_similarity::Peers;
-use fairrec_types::{
-    ItemId, Parallelism, RatingMatrix, RatingsRead, Relevance, ScoredItem, TopK, UserId,
-};
+use fairrec_types::{ItemId, RatingMatrix, RatingsRead, Relevance, ScoredItem, TopK, UserId};
 use std::cell::RefCell;
 use std::collections::HashMap;
-
-/// Candidate-set size below which
-/// [`RelevancePredictor::predict_many_with`] ignores the parallelism
-/// knob and stays sequential — fan-out overhead dominates under this.
-pub const MIN_PARALLEL_ITEMS: usize = 2048;
 
 /// A peer list preprocessed for repeated single-item Equation 1
 /// evaluations: the peer → similarity lookup that `predict` builds
@@ -85,8 +82,8 @@ thread_local! {
 
 /// `peers` ascending by id with duplicate ids collapsed, the last entry
 /// winning — the same peer set the rater-side lookup map holds.
-fn by_ascending_id(peers: &Peers) -> Vec<(UserId, f64)> {
-    let mut sorted = peers.clone();
+pub(crate) fn by_ascending_id(peers: &[(UserId, f64)]) -> Vec<(UserId, f64)> {
+    let mut sorted = peers.to_vec();
     // Stable, so each run of one id keeps its list order.
     sorted.sort_by_key(|&(peer, _)| peer);
     sorted.dedup_by(|next, kept| {
@@ -130,7 +127,7 @@ impl<'a, R: RatingsRead + ?Sized> RelevancePredictor<'a, R> {
     ///
     /// Sums rater-side: over the item's raters in ascending id, probing
     /// the peer set — for one item the cheaper shape. That is the same
-    /// order [`predict_many_with`](Self::predict_many_with) reaches from
+    /// order [`predict_many`](Self::predict_many) reaches from
     /// the peer side (see the module docs), so the same `(peers, item)`
     /// always produces the same bits through every entry point.
     ///
@@ -157,89 +154,65 @@ impl<'a, R: RatingsRead + ?Sized> RelevancePredictor<'a, R> {
     }
 
     /// Predicts over a candidate slice, preserving order; `None` entries
-    /// mark undefined predictions.
-    pub fn predict_many(&self, peers: &Peers, candidates: &[ItemId]) -> Vec<Option<Relevance>> {
-        self.predict_many_with(peers, candidates, Parallelism::Sequential)
-    }
-
-    /// Like [`predict_many`](Self::predict_many), fanning the work out
-    /// across `parallelism`. Scores peer-side: each peer's row is
+    /// mark undefined predictions. Scores peer-side: each peer's row is
     /// scattered into dense per-item accumulators, so a call costs the
-    /// peers' ratings, not every rater of every candidate.
+    /// peers' ratings, not every rater of every candidate. The group
+    /// pass ([`compute_group_predictions_from_peers`]) scores through
+    /// the same scatter; this entry is the single-member form and the
+    /// oracle the rater-side sum pins.
     ///
-    /// The parallel mode splits the candidates into contiguous runs, one
-    /// per worker; each run scatters only the slice of every peer row
-    /// that falls in its own item range. An item's terms are still
-    /// added in ascending peer id, so every mode is bitwise identical to
-    /// the sequential path, in input order. Small candidate sets
-    /// (< [`MIN_PARALLEL_ITEMS`]) always run sequentially: fan-out would
-    /// cost more than it saves.
-    pub fn predict_many_with(
-        &self,
-        peers: &Peers,
-        candidates: &[ItemId],
-        parallelism: Parallelism,
-    ) -> Vec<Option<Relevance>> {
-        let peers = by_ascending_id(peers);
-        let score = |run: &[ItemId]| {
-            SCATTER.with(|scratch| self.scatter(&peers, run, &mut scratch.borrow_mut()))
-        };
-        if candidates.len() < MIN_PARALLEL_ITEMS || !parallelism.is_parallel() {
-            return score(candidates);
-        }
-        let run = candidates.len().div_ceil(parallelism.num_workers());
-        parallelism
-            .map(candidates.chunks(run).collect(), score)
-            .concat()
+    /// [`compute_group_predictions_from_peers`]:
+    ///     crate::predictions::compute_group_predictions_from_peers
+    pub fn predict_many(&self, peers: &Peers, candidates: &[ItemId]) -> Vec<Option<Relevance>> {
+        self.scatter(&by_ascending_id(peers), candidates, |_, _| {})
     }
 
     /// The peer-side Equation 1 over `candidates`, given peers ascending
-    /// by distinct id: every peer row, cut to the candidates' item range,
-    /// accumulated into `scratch`, then read out in candidate order.
-    fn scatter(
+    /// by distinct id: the thread's scratch cleared over the item space,
+    /// every peer row accumulated into it, then read out once in
+    /// candidate order — `visit(j, score)` sees each candidate's score as
+    /// it is read.
+    pub(crate) fn scatter(
         &self,
         peers: &[(UserId, f64)],
         candidates: &[ItemId],
-        scratch: &mut Scatter,
+        mut visit: impl FnMut(usize, Option<Relevance>),
     ) -> Vec<Option<Relevance>> {
-        let n_items = self.matrix.num_items();
-        let in_space = candidates.iter().copied().filter(|i| i.raw() < n_items);
-        let (Some(lo), Some(hi)) = (in_space.clone().min(), in_space.max()) else {
-            return vec![None; candidates.len()];
-        };
-        let Scatter { num, den } = scratch;
-        if num.len() < n_items as usize {
-            num.resize(n_items as usize, 0.0);
-            den.resize(n_items as usize, 0.0);
-        }
-        // Every slot in range starts at 0.0 and *adds* its first term,
-        // exactly as the rater-side sum does (0.0 + -0.0 is 0.0). The
-        // range clear is a branch-free fill no longer than the readout
-        // below; per-slot epoch marks (the `SimScratch` pattern) avoid it
-        // but test a mark on every update, which measured about twice as
-        // slow on the scatter.
-        num[lo.index()..=hi.index()].fill(0.0);
-        den[lo.index()..=hi.index()].fill(0.0);
-        for &(peer, sim) in peers {
-            let (items, scores) = self.matrix.ratings_row(peer);
-            let from = items.partition_point(|&i| i < lo);
-            for (&item, &r) in items[from..].iter().zip(&scores[from..]) {
-                if item > hi {
-                    break;
-                }
-                num[item.index()] += sim * r;
-                den[item.index()] += sim;
+        let n_items = self.matrix.num_items() as usize;
+        SCATTER.with(|scratch| {
+            let Scatter { num, den } = &mut *scratch.borrow_mut();
+            if num.len() < n_items {
+                num.resize(n_items, 0.0);
+                den.resize(n_items, 0.0);
             }
-        }
-        // An untouched slot reads den 0.0, hence `None`, as the
-        // rater-side sum over no peers does.
-        candidates
-            .iter()
-            .map(|&item| {
-                let d = *den.get(item.index()).filter(|_| item.raw() < n_items)?;
-                (d > 0.0).then(|| num[item.index()] / d)
-            })
-            .collect()
+            // Every slot starts at 0.0 and *adds* its first term, exactly
+            // as the rater-side sum does (0.0 + -0.0 is 0.0). The clear
+            // is a branch-free fill of the item space: re-zeroing only
+            // the slots the rows touched, a second pass over the rows,
+            // measured slower on both perfbench cohorts.
+            num[..n_items].fill(0.0);
+            den[..n_items].fill(0.0);
+            for &(peer, sim) in peers {
+                let (items, scores) = self.matrix.ratings_row(peer);
+                for (&item, &r) in items.iter().zip(scores) {
+                    num[item.index()] += sim * r;
+                    den[item.index()] += sim;
+                }
+            }
+            // An untouched slot reads den 0.0, hence `None`, as the
+            // rater-side sum over no peers does; so does an item past the
+            // item space.
+            candidates
+                .iter()
+                .enumerate()
+                .map(|(j, &item)| {
+                    let score = (item.index() < n_items && den[item.index()] > 0.0)
+                        .then(|| num[item.index()] / den[item.index()]);
+                    visit(j, score);
+                    score
+                })
+                .collect()
+        })
     }
 
     /// The top-k list `A_u` (§III-A) over `candidates`.
@@ -427,8 +400,9 @@ mod proptests {
     }
 
     /// Scores `candidates` item by item with the rater-side summation
-    /// (the oracle) and checks every `predict_many_with` mode against it
-    /// bit for bit.
+    /// (the oracle) and checks `predict_many` against it bit for bit,
+    /// twice in a row on one thread, so the second call also pins the
+    /// scratch the first one left behind.
     fn agrees_with_rater_side<R: RatingsRead + ?Sized>(
         store: &R,
         peers: &Peers,
@@ -441,20 +415,13 @@ mod proptests {
             .iter()
             .map(|&i| pred.predict_prepared(&prepared, i).map(f64::to_bits))
             .collect();
-        for mode in [
-            Parallelism::Sequential,
-            Parallelism::Rayon,
-            Parallelism::Threads(1),
-            Parallelism::Threads(2),
-            Parallelism::Threads(3),
-            Parallelism::Threads(8),
-        ] {
+        for call in 0..2 {
             let got: Vec<Option<u64>> = pred
-                .predict_many_with(peers, candidates, mode)
+                .predict_many(peers, candidates)
                 .into_iter()
                 .map(|s| s.map(f64::to_bits))
                 .collect();
-            prop_assert_eq!(&got, &oracle, "{} {:?}", label, mode);
+            prop_assert_eq!(&got, &oracle, "{} call {}", label, call);
         }
         Ok(())
     }
@@ -466,9 +433,8 @@ mod proptests {
         /// bit, on the monolithic matrix and on S ∈ {1, 2, 3, 8} shards:
         /// negative similarities (so `den ≤ 0` must read `None`),
         /// duplicate peer ids (the last wins), peer ids past the user
-        /// space, empty peer lists, candidates past the item space, in
-        /// any order, and candidate counts on both sides of
-        /// `MIN_PARALLEL_ITEMS` in every mode.
+        /// space, empty peer lists, and candidates past the item space,
+        /// repeated, in any order.
         #[test]
         fn scatter_matches_rater_side_oracle(
             ratings in proptest::collection::btree_map(
@@ -476,7 +442,7 @@ mod proptests {
             ),
             peer_list in proptest::collection::vec((0u32..30, -1.0f64..1.0), 0..16),
             len in proptest::sample::select(vec![
-                0, 1, 9, 60, MIN_PARALLEL_ITEMS - 1, MIN_PARALLEL_ITEMS, 2600,
+                0, 1, 9, 60, 2600,
             ]),
             rotate in 0usize..3000,
         ) {
@@ -490,7 +456,7 @@ mod proptests {
                 .map(|(u, s)| (UserId::new(u), s))
                 .collect();
             // Ascending with repeats over 0..48 (past the item space),
-            // rotated so parallel runs may also span unsorted ranges.
+            // rotated so the candidates need not ascend.
             let mut candidates: Vec<ItemId> =
                 (0..len).map(|k| ItemId::new((k * 48 / len.max(1)) as u32)).collect();
             if len > 0 {

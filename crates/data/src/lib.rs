@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates inside the iManageCancer platform, whose patient
 //! profiles and expert-curated document ratings are private EU-project
-//! data. This crate provides the substitute (recorded in `DESIGN.md`):
-//! seeded generators with **planted community structure** — users and
+//! data. This crate provides a substitute for that data, not an extract
+//! of it: seeded generators with **planted community structure** — users and
 //! items belong to latent communities; users rate in-community items
 //! highly and out-of-community items poorly, and their PHR problems are
 //! drawn from a community-specific region of the ontology.

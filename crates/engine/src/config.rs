@@ -91,12 +91,11 @@ pub struct EngineConfig {
     /// Pad the package with plain top-relevance items when the fairness
     /// algorithm returns fewer than `z` (exhausted `A_u` lists).
     pub pad_to_z: bool,
-    /// How the hot loops fan out: peer-index warming, per-member
-    /// Equation 1 scoring, and `recommend_batch` group fan-out. Equation
-    /// 1 splits a member's candidates into contiguous item ranges, one
-    /// per worker, each scattering its slice of the peers' rows; below
-    /// [`MIN_PARALLEL_ITEMS`](fairrec_core::relevance::MIN_PARALLEL_ITEMS)
-    /// candidates it stays on the calling thread.
+    /// How the hot loops fan out: peer-index warming, the group pass of a
+    /// single request, and `recommend_batch` group fan-out. The group
+    /// pass fans out over members, one member's scatter and readout per
+    /// task, and folds the rows in member order; a batch fans out over
+    /// its requests and runs each request's group pass sequentially.
     /// Every mode produces bitwise identical results; `Sequential` pins
     /// single-threaded execution for determinism tests and tiny
     /// workloads.

@@ -827,7 +827,9 @@ impl RecommenderEngine {
     }
 
     /// The prediction phase (Equation 1 + Definition 2), in memory
-    /// through the peer index.
+    /// through the peer index: the group pass, which also builds every
+    /// member's `A_u` for the configured `k`, so a pool built from these
+    /// predictions without a binding `pool_size` starts with them.
     ///
     /// # Errors
     /// Propagates prediction failures (unknown members etc.).
@@ -836,7 +838,7 @@ impl RecommenderEngine {
     }
 
     /// The in-memory prediction phase: each member's peers resolve on
-    /// their owning shard, then the Equation-1 tail
+    /// their owning shard, then the group pass
     /// ([`compute_group_predictions_from_peers`]) reads the store's rows
     /// — monomorphised over [`ShardedRatingMatrix`], not a `dyn` view.
     fn in_memory_predictions(
@@ -855,6 +857,7 @@ impl RecommenderEngine {
             self.peers.group_peers(&self.measure, group.members()),
             group,
             cfg,
+            Some(self.config.k),
         )
     }
 
@@ -1059,8 +1062,9 @@ impl RecommenderEngine {
     /// # Errors
     /// Returns the first failure in group order, if any request fails.
     pub fn recommend_batch(&self, groups: &[Group], z: usize) -> Result<Vec<GroupRecommendation>> {
-        let requests: Vec<(Group, usize)> = groups.iter().map(|g| (g.clone(), z)).collect();
-        self.recommend_requests(&requests).into_iter().collect()
+        self.serve_indexed(groups.len(), |idx| (&groups[idx], z), &|_| true)
+            .into_iter()
+            .collect()
     }
 
     /// Mixed-`z` batched serving: one `(group, z)` request per entry,
@@ -1068,8 +1072,7 @@ impl RecommenderEngine {
     /// not reject its batchmates, which is what lets the streaming
     /// front-end fan a coalesced batch out in one call and still deliver
     /// each waiter its own result. Each entry is identical to calling
-    /// [`recommend_for_group`](Self::recommend_for_group) on it;
-    /// [`recommend_batch`](Self::recommend_batch) funnels through here.
+    /// [`recommend_for_group`](Self::recommend_for_group) on it.
     pub fn recommend_requests(
         &self,
         requests: &[(Group, usize)],
@@ -1091,6 +1094,22 @@ impl RecommenderEngine {
         requests: &[(Group, usize)],
         should_compute: &(dyn Fn(usize) -> bool + Sync),
     ) -> Vec<Result<GroupRecommendation>> {
+        self.serve_indexed(
+            requests.len(),
+            |idx| (&requests[idx].0, requests[idx].1),
+            should_compute,
+        )
+    }
+
+    /// Serves requests `0..n`, fanned out over their indices across the
+    /// configured parallelism; `request(idx)` borrows request `idx`'s
+    /// group and `z`, so no group is copied.
+    fn serve_indexed<'g>(
+        &self,
+        n: usize,
+        request: impl Fn(usize) -> (&'g Group, usize) + Sync + Send,
+        should_compute: &(dyn Fn(usize) -> bool + Sync),
+    ) -> Vec<Result<GroupRecommendation>> {
         // One level of parallelism: when requests fan out across threads,
         // each request's inner stages run sequentially — nested fan-out
         // would oversubscribe the pool for no gain (a group is already a
@@ -1100,17 +1119,12 @@ impl RecommenderEngine {
         } else {
             self.config.parallelism
         };
-        let indexed: Vec<(usize, Group, usize)> = requests
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(idx, (group, z))| (idx, group, z))
-            .collect();
-        self.config.parallelism.map(indexed, |(idx, group, z)| {
+        self.config.parallelism.map_indexed(n, |idx| {
             if !should_compute(idx) {
                 return Err(FairrecError::DeadlineExpired);
             }
-            self.recommend_with(&group, z, inner)
+            let (group, z) = request(idx);
+            self.recommend_with(group, z, inner)
         })
     }
 }

@@ -13,7 +13,9 @@
 //! The original runs on Hadoop; the substrate here is an in-process,
 //! multi-threaded engine with the same semantics — `map → hash partition →
 //! sort by key → reduce` — so the decomposition itself is exercised
-//! faithfully (the substitution is recorded in `DESIGN.md`). The engine is
+//! faithfully. That is a substitution: no Hadoop cluster, HDFS or job
+//! tracker, and no transport between workers; only the job structure
+//! and its key order are the paper's. The engine is
 //! deterministic: identical inputs produce identical outputs regardless of
 //! worker count or thread scheduling. It has no retry layer: a task is a
 //! pure function of its input, so a panicking mapper or reducer would

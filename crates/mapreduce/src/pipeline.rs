@@ -83,10 +83,14 @@ impl MapReducePipelineReport {
 
 /// Runs the full pipeline.
 ///
-/// `num_items` is the size of the item id space. Items with no ratings at
-/// all never reach the jobs, yet they are still "unrated by the group";
-/// they are reassembled with all-undefined predictions so the output is
-/// identical to the in-memory reference.
+/// `num_items` is the size of the item id space. Like the in-memory
+/// reference, the output holds exactly the items no member rated that
+/// have a defined group relevance. Items with no ratings at all never
+/// reach the jobs, yet they are still "unrated by the group": under
+/// [`MissingPolicy::Pessimistic`] they are reassembled with all-undefined
+/// member predictions and the policy's group score, and under
+/// [`MissingPolicy::Skip`] they are dropped, as are the items Job 3
+/// scored for no member.
 ///
 /// # Errors
 /// Returns [`FairrecError::InvalidParameter`] (naming `num_items`) when
@@ -230,33 +234,29 @@ pub fn mapreduce_group_predictions(
     for s in job3.output {
         scored.insert(s.item, s);
     }
-    let items: Vec<ItemId> = (0..num_items)
-        .map(ItemId::new)
-        .filter(|i| !group_rated[i.index()])
-        .collect();
-
+    // The in-memory contract: exactly the unrated items with a defined
+    // group relevance, ascending by id.
     let empty_column: Vec<Option<Relevance>> = vec![None; n];
     let unrated_group_score = config.aggregation.aggregate(&empty_column, config.missing);
 
-    let mut member_scores: Vec<Vec<Option<Relevance>>> = vec![Vec::with_capacity(items.len()); n];
-    let mut group_scores: Vec<Option<Relevance>> = Vec::with_capacity(items.len());
-    for item in &items {
-        match scored.get(item) {
-            Some(s) => {
-                for (row, score) in member_scores.iter_mut().zip(&s.member_scores) {
-                    row.push(*score);
-                }
-                group_scores.push(s.group_score);
-            }
-            None => {
-                // Candidate with no outside rating: Equation 1 undefined
-                // for every member.
-                for row in member_scores.iter_mut() {
-                    row.push(None);
-                }
-                group_scores.push(unrated_group_score);
-            }
+    let mut items: Vec<ItemId> = Vec::new();
+    let mut member_scores: Vec<Vec<Option<Relevance>>> = vec![Vec::new(); n];
+    let mut group_scores: Vec<Option<Relevance>> = Vec::new();
+    for item in (0..num_items)
+        .map(ItemId::new)
+        .filter(|i| !group_rated[i.index()])
+    {
+        // An item no member's peers scored has every member undefined.
+        let scores = scored.get(&item);
+        let group_score = scores.map_or(unrated_group_score, |s| s.group_score);
+        if group_score.is_none() {
+            continue;
         }
+        for (m, row) in member_scores.iter_mut().enumerate() {
+            row.push(scores.and_then(|s| s.member_scores[m]));
+        }
+        group_scores.push(group_score);
+        items.push(item);
     }
 
     Ok((
@@ -269,7 +269,7 @@ pub fn mapreduce_group_predictions(
 mod tests {
     use super::*;
     use fairrec_similarity::{BulkUserSimilarity, RatingsSimilarity, SimScratch};
-    use fairrec_types::{GroupId, Rating, RatingMatrix};
+    use fairrec_types::{GroupId, Rating, RatingMatrix, RATING_MIN};
 
     fn triple(u: u32, i: u32, r: f64) -> RatingTriple {
         RatingTriple {
@@ -316,16 +316,34 @@ mod tests {
         )
         .unwrap();
         // Unrated by the group: i2, i3, i4 (i5/i6 are group-rated history).
-        assert_eq!(
-            preds.items(),
-            &[ItemId::new(2), ItemId::new(3), ItemId::new(4)]
-        );
-        // i4 has no ratings at all → all predictions undefined.
-        assert_eq!(preds.member_relevance(0, 2), None);
-        assert_eq!(preds.group_relevance(2), None);
+        // i4 has no ratings at all, so no member can score it: under Skip
+        // it has no group relevance and is no candidate.
+        assert_eq!(preds.items(), &[ItemId::new(2), ItemId::new(3)]);
+        assert!((0..preds.num_items()).all(|j| preds.group_relevance(j).is_some()));
         assert!(report.rated_candidates >= 1);
         assert!(report.sim_edges > 0);
         assert!(report.job1.map_input_records == 13);
+
+        // Under Pessimistic every member's missing score counts as the
+        // minimum rating, so i4 is a candidate with that group score.
+        let (pessimistic, _) = mapreduce_group_predictions(
+            fixture(),
+            7,
+            &group,
+            &PipelineConfig {
+                delta: -1.0,
+                missing: MissingPolicy::Pessimistic,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            pessimistic.items(),
+            &[ItemId::new(2), ItemId::new(3), ItemId::new(4)]
+        );
+        assert_eq!(pessimistic.member_relevance(0, 2), None);
+        assert_eq!(pessimistic.member_relevance(1, 2), None);
+        assert_eq!(pessimistic.group_relevance(2), Some(RATING_MIN));
     }
 
     #[test]
@@ -484,8 +502,10 @@ mod tests {
         };
         let (full, _) = mapreduce_group_predictions(fixture(), 7, &group, &base).unwrap();
         let (few, _) = mapreduce_group_predictions(fixture(), 7, &group, &capped).unwrap();
-        // With fewer peers, predictions can only change or disappear —
-        // structurally both must still cover the same item set.
-        assert_eq!(full.items(), few.items());
+        // With fewer peers, predictions can only change or disappear, so
+        // the capped candidates (items with a defined group relevance)
+        // are a subset of the uncapped ones — here a strict one.
+        assert!(few.items().iter().all(|i| full.items().contains(i)));
+        assert!(few.num_items() < full.num_items());
     }
 }

@@ -1,8 +1,9 @@
 //! Hand-curated clinical ontology fragment.
 //!
 //! SNOMED CT is distributed under a national-licence model, so this module
-//! ships a small curated is-a fragment instead (the substitution is recorded
-//! in `DESIGN.md`). It is built to two requirements:
+//! ships a small curated is-a fragment instead — a substitution for the
+//! full terminology the paper uses, not an extract of it. It is built to
+//! two requirements:
 //!
 //! 1. it contains every concept appearing in the paper's Table I (acute
 //!    bronchitis, chest pain, tracheobronchitis, broken arm), and

@@ -409,7 +409,10 @@ impl RatingMatrix {
     ///
     /// Only items with at least one rating by a non-member can ever receive
     /// a collaborative prediction, but this method returns every unrated
-    /// item; prediction later yields `None` where Equation 1 is undefined.
+    /// item. The group pass of `fairrec-core` uses it as is only under the
+    /// pessimistic missing policy, where every unrated item gets a group
+    /// score; otherwise it keeps just the items the members' peers rated
+    /// and some member can score.
     pub fn unrated_by_all(&self, group: &[UserId]) -> Vec<ItemId> {
         let mut rated = vec![false; self.n_items as usize];
         for &u in group {

@@ -3,9 +3,13 @@
 //! order-preserving map with a fixed (sequential) aggregation order, so
 //! no float result may depend on thread count or scheduling.
 
-use fairrec::core::predictions::{compute_group_predictions, GroupPredictionConfig};
-use fairrec::core::{Aggregation, Group, MissingPolicy, RelevancePredictor};
+use fairrec::core::predictions::{
+    compute_group_predictions, compute_group_predictions_from_peers, GroupPredictionConfig,
+    GroupPredictions,
+};
+use fairrec::core::{Aggregation, CandidatePool, Group, MissingPolicy};
 use fairrec::prelude::*;
+use fairrec::similarity::PeerIndex;
 use fairrec::types::Parallelism;
 use proptest::prelude::*;
 
@@ -13,9 +17,8 @@ fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(
         SyntheticConfig {
             num_users: 60,
-            // Above `MIN_PARALLEL_ITEMS`, so the per-candidate fan-out
-            // actually engages — smaller pools intentionally stay
-            // sequential and would make these assertions vacuous.
+            // A sparse item space: a group leaves thousands of items
+            // unrated, most of them covered by no member's peers.
             num_items: 2600,
             num_communities: 3,
             ratings_per_user: 20,
@@ -30,28 +33,54 @@ fn dataset(seed: u64) -> SyntheticDataset {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Equation 1 over candidates: same bits for every parallelism mode.
+    /// The group pass with its `A_u` lists (peers → Equation 1 →
+    /// Definition 2 → `A_u`, fanned out over members): same bits for
+    /// every parallelism mode, under both missing policies, and the lists
+    /// the pass hands the pool equal the ones the pool computes itself.
     #[test]
-    fn predict_many_is_bitwise_stable_across_modes(seed in 0u64..500, delta in -0.5f64..0.8) {
+    fn group_pass_is_bitwise_stable_across_modes(seed in 0u64..500, delta in -0.5f64..0.8) {
         let data = dataset(seed);
         let measure = RatingsSimilarity::new(&data.matrix);
         let selector = PeerSelector::new(delta).unwrap();
-        let user = UserId::new(0);
-        let peers = selector.peers_of(&measure, user, data.matrix.user_ids(), &[]);
-        let candidates = data.matrix.unrated_by_all(&[user]);
-        let predictor = RelevancePredictor::new(&data.matrix);
-        let sequential = predictor.predict_many_with(&peers, &candidates, Parallelism::Sequential);
-        for mode in [
-            Parallelism::Rayon,
-            Parallelism::Threads(1),
-            Parallelism::Threads(2),
-            Parallelism::Threads(4),
-            Parallelism::Threads(8),
-        ] {
-            let parallel = predictor.predict_many_with(&peers, &candidates, mode);
-            // Option<f64> equality is bit-for-bit here: scores come out of
-            // identical arithmetic on identical inputs in identical order.
-            prop_assert_eq!(&parallel, &sequential, "{:?}", mode);
+        let group = Group::new(GroupId::new(0), data.sample_group(4, None, seed)).unwrap();
+        let index = PeerIndex::new(selector, data.matrix.num_users());
+        let k = 10;
+        for missing in [MissingPolicy::Skip, MissingPolicy::Pessimistic] {
+            let pass = |parallelism| {
+                compute_group_predictions_from_peers(
+                    &data.matrix,
+                    index.group_peers(&measure, group.members()),
+                    &group,
+                    GroupPredictionConfig { aggregation: Aggregation::Average, missing, parallelism },
+                    Some(k),
+                )
+                .unwrap()
+            };
+            let sequential = pass(Parallelism::Sequential);
+            // The pass's lists (the pool's memo) and, next to them, the
+            // lists the pool's kernel computes afresh from the rows.
+            let lists = |p: &GroupPredictions| match CandidatePool::from_predictions(p, None) {
+                Ok(pool) => (
+                    pool.top_k_lists(k).into_owned(),
+                    (0..pool.num_members()).map(|m| pool.top_k_positions(m, k)).collect(),
+                ),
+                Err(_) => (Vec::new(), Vec::new()),
+            };
+            let (expected, recomputed): (Vec<Vec<usize>>, Vec<Vec<usize>>) = lists(&sequential);
+            prop_assert_eq!(&expected, &recomputed, "{:?}", missing);
+            for mode in [
+                Parallelism::Rayon,
+                Parallelism::Threads(1),
+                Parallelism::Threads(2),
+                Parallelism::Threads(8),
+            ] {
+                let parallel = pass(mode);
+                // Option<f64> equality is bit-for-bit here: scores come
+                // out of identical arithmetic on identical inputs in
+                // identical order.
+                prop_assert_eq!(&parallel, &sequential, "{:?} {:?}", mode, missing);
+                prop_assert_eq!(lists(&parallel).0, expected.clone(), "{:?} {:?}", mode, missing);
+            }
         }
     }
 
@@ -71,7 +100,12 @@ proptest! {
         let sequential = compute_group_predictions(
             &data.matrix, &measure, &selector, &group, config(Parallelism::Sequential),
         ).unwrap();
-        for mode in [Parallelism::Rayon, Parallelism::Threads(2), Parallelism::Threads(8)] {
+        for mode in [
+            Parallelism::Rayon,
+            Parallelism::Threads(1),
+            Parallelism::Threads(2),
+            Parallelism::Threads(8),
+        ] {
             let parallel = compute_group_predictions(
                 &data.matrix, &measure, &selector, &group, config(mode),
             ).unwrap();
