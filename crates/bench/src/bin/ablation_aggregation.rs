@@ -73,7 +73,6 @@ fn main() {
                 GroupPredictionConfig {
                     aggregation,
                     missing: MissingPolicy::Skip,
-                    ..Default::default()
                 },
             )
             .expect("group exists");

@@ -148,13 +148,6 @@ impl GroupFold {
         }
     }
 
-    /// Adds the next member's whole row.
-    pub(crate) fn add_row(&mut self, row: &[Option<Relevance>]) {
-        for (j, &score) in row.iter().enumerate() {
-            self.add(j, score);
-        }
-    }
-
     /// `relevanceG(G, i)` per item.
     pub(crate) fn finish(self) -> Vec<Option<Relevance>> {
         let aggregation = self.aggregation;

@@ -26,7 +26,9 @@
 //! `≤ 0`) are compacted out at the end, and the `A_u` positions remapped.
 //! The pass is bitwise equal to the dense path that scored every unrated
 //! item and aggregated it column by column; that path survives as a test
-//! oracle.
+//! oracle. The pass runs on the calling thread: a fan-out over members,
+//! folded afterwards, lost the fused fold and measured slower; batches
+//! fan out over their requests instead.
 //!
 //! This function is also the reference implementation that the MapReduce
 //! path (`fairrec-mapreduce`) is verified against.
@@ -37,7 +39,7 @@ use crate::pool::TopPositions;
 use crate::relevance::{by_ascending_id, RelevancePredictor};
 use fairrec_similarity::{BulkUserSimilarity, PeerIndex, PeerSelector};
 use fairrec_types::{
-    ItemId, Parallelism, RatingMatrix, RatingsRead, Relevance, Result, ScoredItem, TopK, UserId,
+    ItemId, RatingMatrix, RatingsRead, Relevance, Result, ScoredItem, TopK, UserId,
 };
 use std::sync::Arc;
 
@@ -48,11 +50,6 @@ pub struct GroupPredictionConfig {
     pub aggregation: Aggregation,
     /// Handling of undefined member predictions (default: skip).
     pub missing: MissingPolicy,
-    /// How the group pass fans out across members (default: the ambient
-    /// rayon pool). Every mode yields bitwise identical results;
-    /// `Sequential` folds Definition 2 inside each member's readout, the
-    /// parallel modes fold the finished rows in member order.
-    pub parallelism: Parallelism,
 }
 
 /// Per-member and aggregated predictions over a group's candidate items.
@@ -242,28 +239,13 @@ pub fn compute_group_predictions_from_peers<R: RatingsRead + ?Sized>(
     let mut items = candidates(matrix, group.members(), &peers, config.missing);
     let predictor = RelevancePredictor::new(matrix);
     let k = top_k.unwrap_or(0);
-    // Definition 2 folds the rows in member order either way: inside
-    // each readout when the members run one after another, over the
-    // finished rows when they fan out.
+    // Definition 2 folds inside each member's readout, members in order.
     let mut fold = GroupFold::new(config.aggregation, config.missing, items.len());
-    let scored: Vec<(Vec<Option<Relevance>>, Vec<usize>)> = if config.parallelism.is_parallel()
-        && peers.len() > 1
-    {
-        let scored = config.parallelism.map(peers, |peers| {
-            score_member(&predictor, &peers, &items, k, |_, _| {})
-        });
-        for (row, _) in &scored {
-            fold.add_row(row);
-        }
-        scored
-    } else {
-        peers
-            .iter()
-            .map(|peers| score_member(&predictor, peers, &items, k, |j, score| fold.add(j, score)))
-            .collect()
-    };
+    let (mut member_scores, mut lists): (Vec<_>, Vec<_>) = peers
+        .iter()
+        .map(|peers| score_member(&predictor, peers, &items, k, &mut fold))
+        .unzip();
     let mut group_scores = fold.finish();
-    let (mut member_scores, mut lists): (Vec<_>, Vec<_>) = scored.into_iter().unzip();
 
     // A candidate that only zero- or negative-similarity peers touched
     // has no defined score for anyone: drop it, and move every `A_u`
@@ -297,20 +279,20 @@ pub fn compute_group_predictions_from_peers<R: RatingsRead + ?Sized>(
 }
 
 /// One member's readout over `items`: its Equation 1 row and its `A_u`
-/// (the `k` best positions), with every score also handed to `fold`.
+/// (the `k` best positions), with every score also folded into `fold`.
 fn score_member<R: RatingsRead + ?Sized>(
     predictor: &RelevancePredictor<'_, R>,
     peers: &[(UserId, f64)],
     items: &[ItemId],
     k: usize,
-    mut fold: impl FnMut(usize, Option<Relevance>),
+    fold: &mut GroupFold,
 ) -> (Vec<Option<Relevance>>, Vec<usize>) {
     let mut top = TopPositions::new(k);
     let row = predictor.scatter(peers, items, |j, score| {
         if let Some(s) = score {
             top.push(s, j);
         }
-        fold(j, score);
+        fold.add(j, score);
     });
     (row, top.into_positions())
 }
@@ -498,7 +480,6 @@ mod tests {
         let cfg = GroupPredictionConfig {
             aggregation: Aggregation::Min,
             missing: MissingPolicy::Skip,
-            ..Default::default()
         };
         let p = compute_group_predictions(&m, &PairSim, &sel, &g, cfg).unwrap();
         // i2: u0 sees rating 5 (via u2), u1 sees 3 (via u3) ⇒ min = 3.
@@ -549,7 +530,6 @@ mod tests {
                 let config = |missing| GroupPredictionConfig {
                     aggregation,
                     missing,
-                    ..Default::default()
                 };
                 let skip =
                     compute_group_predictions(&m, &Signed, &sel, &g, config(MissingPolicy::Skip))

@@ -28,15 +28,14 @@
 //! * **Peer-side** (many items:
 //!   [`predict_many`](RelevancePredictor::predict_many) and the group
 //!   pass of [`predictions`](crate::predictions)): walk the peers in
-//!   ascending id and scatter each whole peer row into dense per-item
-//!   accumulators, read the candidates out once, then re-zero exactly the
-//!   slots the rows touched. Filtering `U(i)` to the peers visits the
+//!   ascending id, clear the dense per-item accumulators with one fill
+//!   of the item space, scatter each whole peer row into them and read
+//!   the candidates out once. Filtering `U(i)` to the peers visits the
 //!   same peers in the same order as walking the peers by ascending id,
 //!   and each accumulator starts at `0.0` and *adds* its first term, so
 //!   each item sees exactly the rater-side's `0.0 + t₁ + t₂ + …`. Cost
-//!   `2·Σ_{p ∈ P_u} |I(p)|` slot updates plus one read per candidate.
-//!   The pass is sequential per member; the group pass fans out over
-//!   members, never over one member's items.
+//!   one fill of the item space, `Σ_{p ∈ P_u} |I(p)|` scatter updates
+//!   and one read per candidate, on the calling thread.
 //!
 //! An earlier peer-side path disagreed with the rater-side in the last
 //! ulp because it walked the peers in *list* order (descending

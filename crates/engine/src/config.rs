@@ -91,11 +91,9 @@ pub struct EngineConfig {
     /// Pad the package with plain top-relevance items when the fairness
     /// algorithm returns fewer than `z` (exhausted `A_u` lists).
     pub pad_to_z: bool,
-    /// How the hot loops fan out: peer-index warming, the group pass of a
-    /// single request, and `recommend_batch` group fan-out. The group
-    /// pass fans out over members, one member's scatter and readout per
-    /// task, and folds the rows in member order; a batch fans out over
-    /// its requests and runs each request's group pass sequentially.
+    /// How the hot loops fan out: peer-index warming and the
+    /// `recommend_batch` fan-out over requests. A request's group pass
+    /// runs on the thread that serves it, in every mode.
     /// Every mode produces bitwise identical results; `Sequential` pins
     /// single-threaded execution for determinism tests and tiny
     /// workloads.

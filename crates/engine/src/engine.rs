@@ -45,8 +45,8 @@ use fairrec_similarity::{
     SemanticSimilarity, ShardedPeerIndex, ShardedRatingsSimilarity, UserSimilarity,
 };
 use fairrec_types::{
-    FairrecError, ItemId, Parallelism, Rating, RatingMatrix, RatingTriple, RatingsRead, Result,
-    ScoredItem, ShardSpec, ShardedRatingMatrix, UserId,
+    FairrecError, ItemId, Rating, RatingMatrix, RatingTriple, RatingsRead, Result, ScoredItem,
+    ShardSpec, ShardedRatingMatrix, UserId,
 };
 use std::sync::Arc;
 
@@ -827,29 +827,20 @@ impl RecommenderEngine {
     }
 
     /// The prediction phase (Equation 1 + Definition 2), in memory
-    /// through the peer index: the group pass, which also builds every
-    /// member's `A_u` for the configured `k`, so a pool built from these
-    /// predictions without a binding `pool_size` starts with them.
+    /// through the peer index: each member's peers resolve on their
+    /// owning shard, then the group pass
+    /// ([`compute_group_predictions_from_peers`]) reads the store's rows
+    /// — monomorphised over [`ShardedRatingMatrix`], not a `dyn` view —
+    /// and also builds every member's `A_u` for the configured `k`, so a
+    /// pool built from these predictions without a binding `pool_size`
+    /// starts with them.
     ///
     /// # Errors
     /// Propagates prediction failures (unknown members etc.).
     pub fn predictions_for(&self, group: &Group) -> Result<GroupPredictions> {
-        self.in_memory_predictions(group, self.config.parallelism)
-    }
-
-    /// The in-memory prediction phase: each member's peers resolve on
-    /// their owning shard, then the group pass
-    /// ([`compute_group_predictions_from_peers`]) reads the store's rows
-    /// — monomorphised over [`ShardedRatingMatrix`], not a `dyn` view.
-    fn in_memory_predictions(
-        &self,
-        group: &Group,
-        parallelism: Parallelism,
-    ) -> Result<GroupPredictions> {
         let cfg = GroupPredictionConfig {
             aggregation: self.config.aggregation,
             missing: self.config.missing,
-            parallelism,
         };
         self.check_known_members(group)?;
         compute_group_predictions_from_peers(
@@ -879,18 +870,9 @@ impl RecommenderEngine {
     /// Propagates prediction/pool/evaluator failures (unknown members,
     /// empty pool, oversized groups).
     pub fn recommend_for_group(&self, group: &Group, z: usize) -> Result<GroupRecommendation> {
-        self.recommend_with(group, z, self.config.parallelism)
-    }
-
-    fn recommend_with(
-        &self,
-        group: &Group,
-        z: usize,
-        parallelism: Parallelism,
-    ) -> Result<GroupRecommendation> {
         // Fail an oversized group before Equation 1, not after it.
         FairnessEvaluator::check_group_size(group.members().len())?;
-        let predictions = self.in_memory_predictions(group, parallelism)?;
+        let predictions = self.predictions_for(group)?;
         self.recommend_from_predictions(group, &predictions, z)
     }
 
@@ -1110,21 +1092,15 @@ impl RecommenderEngine {
         request: impl Fn(usize) -> (&'g Group, usize) + Sync + Send,
         should_compute: &(dyn Fn(usize) -> bool + Sync),
     ) -> Vec<Result<GroupRecommendation>> {
-        // One level of parallelism: when requests fan out across threads,
-        // each request's inner stages run sequentially — nested fan-out
-        // would oversubscribe the pool for no gain (a group is already a
-        // thread-sized unit of work).
-        let inner = if self.config.parallelism.is_parallel() {
-            Parallelism::Sequential
-        } else {
-            self.config.parallelism
-        };
+        // One level of parallelism: a request's group pass runs on the
+        // thread that serves it (a group is already a thread-sized unit
+        // of work).
         self.config.parallelism.map_indexed(n, |idx| {
             if !should_compute(idx) {
                 return Err(FairrecError::DeadlineExpired);
             }
             let (group, z) = request(idx);
-            self.recommend_with(group, z, inner)
+            self.recommend_for_group(group, z)
         })
     }
 }
@@ -1135,7 +1111,7 @@ mod tests {
     use fairrec_data::{SyntheticConfig, SyntheticDataset};
     use fairrec_mapreduce::{mapreduce_group_predictions, JobConfig, PipelineConfig};
     use fairrec_ontology::snomed::clinical_fragment;
-    use fairrec_types::GroupId;
+    use fairrec_types::{GroupId, Parallelism};
 
     fn engine(config: EngineConfig) -> RecommenderEngine {
         let ontology = clinical_fragment();
@@ -1244,7 +1220,6 @@ mod tests {
         let cfg = GroupPredictionConfig {
             aggregation: e.config().aggregation,
             missing: e.config().missing,
-            parallelism: Parallelism::Sequential,
         };
         let predictions = compute_group_predictions(&m, &measure, &selector, g, cfg).unwrap();
         let package = e.recommend_from_predictions(g, &predictions, z).unwrap();

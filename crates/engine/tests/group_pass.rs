@@ -14,7 +14,8 @@
 //! sequential and a parallel mode, the pass must give the oracle's
 //! items, member scores and group scores (after the dense path's pool
 //! filter), the same pool, the same `A_u` lists, the same Algorithm 1
-//! positions and steps, and the same served package — under
+//! positions and steps, and the same served package, alone and from a
+//! batch — under
 //! `Skip`/`Pessimistic` × `Min`/`Average`, δ ∈ {−0.5, 0, 0.3},
 //! `max_peers` ∈ {None, 3} and `pool_size` ∈ {None, a cap below the
 //! pool}.
@@ -142,12 +143,21 @@ fn check(
         "{}",
         label
     );
+    let package = engine.recommend_from_predictions(group, &dense, Z).unwrap();
     prop_assert_eq!(
-        engine.recommend_for_group(group, Z).unwrap(),
-        engine.recommend_from_predictions(group, &dense, Z).unwrap(),
+        &engine.recommend_for_group(group, Z).unwrap(),
+        &package,
         "{}",
         label
     );
+    // A batch runs each request's pass on the thread serving it: a pool
+    // worker in the parallel mode.
+    for served in engine
+        .recommend_batch(&[group.clone(), group.clone()], Z)
+        .unwrap()
+    {
+        prop_assert_eq!(&served, &package, "{}", label);
+    }
     Ok(())
 }
 

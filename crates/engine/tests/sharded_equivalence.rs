@@ -98,7 +98,6 @@ impl Oracle {
         let config = GroupPredictionConfig {
             aggregation: defaults.aggregation,
             missing: defaults.missing,
-            parallelism: Parallelism::Sequential,
         };
         compute_group_predictions(&self.matrix, &self.measure(), &self.selector, group, config)
             .unwrap()

@@ -98,7 +98,6 @@ fn main() -> Result<()> {
             GroupPredictionConfig {
                 aggregation,
                 missing: MissingPolicy::Skip,
-                ..Default::default()
             },
         )?;
         let pool = CandidatePool::from_predictions(&preds, Some(40))?;

@@ -106,8 +106,8 @@
 //!   publishes under its own lock (a read waits at most for one slot's
 //!   replace; fills install by version CAS), so warms overlap serving. `docs/ARCHITECTURE.md` documents the three
 //!   peer-build paths and the full update-path contract.
-//! * **Parallelism.** Every parallel loop (index warming, per-candidate
-//!   Equation 1, `recommend_batch` group fan-out) is an order-preserving
+//! * **Parallelism.** Every parallel loop (index warming,
+//!   `recommend_batch` group fan-out) is an order-preserving
 //!   pure map, so results are bitwise identical across
 //!   [`Parallelism`](types::Parallelism) modes and thread counts —
 //!   asserted by the `parallel_equivalence` property tests. Batched

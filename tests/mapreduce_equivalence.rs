@@ -7,7 +7,6 @@ use fairrec::core::predictions::{compute_group_predictions, GroupPredictionConfi
 use fairrec::core::Group;
 use fairrec::mapreduce::{mapreduce_group_predictions, JobConfig, PipelineConfig};
 use fairrec::prelude::*;
-use fairrec::types::Parallelism;
 
 fn dataset(seed: u64) -> SyntheticDataset {
     SyntheticDataset::generate(
@@ -51,10 +50,6 @@ fn compare(
         GroupPredictionConfig {
             aggregation,
             missing,
-            // The equivalence claim is against the *sequential* reference;
-            // parallel-vs-sequential bitwise identity is asserted
-            // separately in `parallel_equivalence.rs`.
-            parallelism: Parallelism::Sequential,
         },
     )
     .unwrap();

@@ -30,33 +30,55 @@ fn dataset(seed: u64) -> SyntheticDataset {
     .unwrap()
 }
 
+/// Groups of 2 to 6 members sampled from `data`, one per seed offset:
+/// groups of different sizes leave different candidate sets, so a
+/// worker's reused scatter scratch meets a new shape on every task.
+fn groups(data: &SyntheticDataset, seed: u64) -> Vec<Group> {
+    (0..6)
+        .map(|g| {
+            let members = data.sample_group(2 + g as usize % 5, None, seed + g);
+            Group::new(GroupId::new(g as u32), members).unwrap()
+        })
+        .collect()
+}
+
+const MODES: [Parallelism; 4] = [
+    Parallelism::Rayon,
+    Parallelism::Threads(1),
+    Parallelism::Threads(2),
+    Parallelism::Threads(8),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The group pass with its `A_u` lists (peers → Equation 1 →
-    /// Definition 2 → `A_u`, fanned out over members): same bits for
-    /// every parallelism mode, under both missing policies, and the lists
-    /// the pass hands the pool equal the ones the pool computes itself.
+    /// Definition 2 → `A_u`) runs on the thread that serves the request,
+    /// reusing that thread's scatter scratch. Fanned out over groups in
+    /// every parallelism mode, as a batch fans out its requests, it gives
+    /// the bits of a sequential loop under both missing policies, and the
+    /// lists the pass hands the pool equal the ones the pool computes
+    /// itself.
     #[test]
     fn group_pass_is_bitwise_stable_across_modes(seed in 0u64..500, delta in -0.5f64..0.8) {
         let data = dataset(seed);
         let measure = RatingsSimilarity::new(&data.matrix);
         let selector = PeerSelector::new(delta).unwrap();
-        let group = Group::new(GroupId::new(0), data.sample_group(4, None, seed)).unwrap();
+        let groups = groups(&data, seed);
         let index = PeerIndex::new(selector, data.matrix.num_users());
         let k = 10;
         for missing in [MissingPolicy::Skip, MissingPolicy::Pessimistic] {
-            let pass = |parallelism| {
+            let pass = |group: &Group| {
                 compute_group_predictions_from_peers(
                     &data.matrix,
                     index.group_peers(&measure, group.members()),
-                    &group,
-                    GroupPredictionConfig { aggregation: Aggregation::Average, missing, parallelism },
+                    group,
+                    GroupPredictionConfig { aggregation: Aggregation::Average, missing },
                     Some(k),
                 )
                 .unwrap()
             };
-            let sequential = pass(Parallelism::Sequential);
+            let sequential: Vec<GroupPredictions> = groups.iter().map(pass).collect();
             // The pass's lists (the pool's memo) and, next to them, the
             // lists the pool's kernel computes afresh from the rows.
             let lists = |p: &GroupPredictions| match CandidatePool::from_predictions(p, None) {
@@ -66,49 +88,42 @@ proptest! {
                 ),
                 Err(_) => (Vec::new(), Vec::new()),
             };
-            let (expected, recomputed): (Vec<Vec<usize>>, Vec<Vec<usize>>) = lists(&sequential);
-            prop_assert_eq!(&expected, &recomputed, "{:?}", missing);
-            for mode in [
-                Parallelism::Rayon,
-                Parallelism::Threads(1),
-                Parallelism::Threads(2),
-                Parallelism::Threads(8),
-            ] {
-                let parallel = pass(mode);
+            let expected: Vec<Vec<Vec<usize>>> = sequential
+                .iter()
+                .map(|p| {
+                    let (memo, recomputed): (Vec<Vec<usize>>, Vec<Vec<usize>>) = lists(p);
+                    assert_eq!(memo, recomputed, "{missing:?}");
+                    memo
+                })
+                .collect();
+            for mode in MODES {
+                let parallel = mode.map(groups.iter().collect(), pass);
                 // Option<f64> equality is bit-for-bit here: scores come
                 // out of identical arithmetic on identical inputs in
                 // identical order.
                 prop_assert_eq!(&parallel, &sequential, "{:?} {:?}", mode, missing);
-                prop_assert_eq!(lists(&parallel).0, expected.clone(), "{:?} {:?}", mode, missing);
+                let got: Vec<_> = parallel.iter().map(|p| lists(p).0).collect();
+                prop_assert_eq!(&got, &expected, "{:?} {:?}", mode, missing);
             }
         }
     }
 
-    /// The full prediction phase (peers → Equation 1 → Definition 2):
-    /// same bits for every parallelism mode.
+    /// The full prediction phase (peers → Equation 1 → Definition 2),
+    /// fanned out over groups: same bits in every parallelism mode.
     #[test]
     fn group_predictions_are_bitwise_stable_across_modes(seed in 0u64..500) {
         let data = dataset(seed);
         let measure = RatingsSimilarity::new(&data.matrix);
         let selector = PeerSelector::new(0.0).unwrap();
-        let group = Group::new(GroupId::new(0), data.sample_group(4, None, seed)).unwrap();
-        let config = |parallelism| GroupPredictionConfig {
-            aggregation: Aggregation::Average,
-            missing: MissingPolicy::Skip,
-            parallelism,
+        let groups = groups(&data, seed);
+        let predict = |group: &Group| {
+            compute_group_predictions(
+                &data.matrix, &measure, &selector, group, GroupPredictionConfig::default(),
+            ).unwrap()
         };
-        let sequential = compute_group_predictions(
-            &data.matrix, &measure, &selector, &group, config(Parallelism::Sequential),
-        ).unwrap();
-        for mode in [
-            Parallelism::Rayon,
-            Parallelism::Threads(1),
-            Parallelism::Threads(2),
-            Parallelism::Threads(8),
-        ] {
-            let parallel = compute_group_predictions(
-                &data.matrix, &measure, &selector, &group, config(mode),
-            ).unwrap();
+        let sequential: Vec<GroupPredictions> = groups.iter().map(predict).collect();
+        for mode in MODES {
+            let parallel = mode.map(groups.iter().collect(), predict);
             prop_assert_eq!(&parallel, &sequential, "{:?}", mode);
         }
     }
